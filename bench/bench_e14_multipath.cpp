@@ -203,7 +203,7 @@ BaselineRun run_baseline(std::size_t npaths, std::size_t stream_bytes) {
         sp.bytes = std::move(bytes);
         sp.id = sim.next_packet_id();
         sp.created_at = sim.now();
-        sim.schedule_in(1 * kMillisecond, [&, p = std::move(sp)]() mutable {
+        sim.arm_in(1 * kMillisecond, [&, p = std::move(sp)]() mutable {
           tx->on_packet(std::move(p));
         });
       });
@@ -231,9 +231,9 @@ BaselineRun run_baseline(std::size_t npaths, std::size_t stream_bytes) {
       done_at = sim.now();
       return;
     }
-    if (done_at == 0) sim.schedule_in(kMillisecond, watch);
+    if (done_at == 0) sim.arm_in(kMillisecond, watch);
   };
-  sim.schedule_in(kMillisecond, watch);
+  sim.arm_in(kMillisecond, watch);
   sim.run();
 
   BaselineRun r;
@@ -350,10 +350,10 @@ void run_kill() {
     rates_mbps.push_back(static_cast<double>(now_bytes - last_bytes) * 8.0 /
                          (static_cast<double>(window) / 1e9) / 1e6);
     last_bytes = now_bytes;
-    if (now_bytes < bytes) rig.sim.schedule_in(window, sample);
+    if (now_bytes < bytes) rig.sim.arm_in(window, sample);
   };
-  rig.sim.schedule_in(window, sample);
-  rig.sim.schedule_at(kill_at, [&] { rig.mpath->kill_path(1); });
+  rig.sim.arm_in(window, sample);
+  rig.sim.arm_at(kill_at, [&] { rig.mpath->kill_path(1); });
   rig.sender->send_stream(stream);
   rig.sim.run();
 

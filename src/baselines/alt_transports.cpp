@@ -73,7 +73,7 @@ void XtpLikeSender::arm_timer(std::uint32_t seq) {
   const SimTime armed_at = sim_.now();
   const SimTime timeout =
       cfg_.rto.adaptive ? rto_.rto() : cfg_.retransmit_timeout;
-  sim_.schedule_in(timeout, [this, seq, armed_at] {
+  sim_.arm_in(timeout, [this, seq, armed_at] {
     auto it = outstanding_.find(seq);
     if (it == outstanding_.end()) return;
     if (it->second.last_sent > armed_at) return;
@@ -185,7 +185,7 @@ void MtuDiscoverySender::arm_timer(std::uint32_t seq) {
   const SimTime armed_at = sim_.now();
   const SimTime timeout =
       cfg_.rto.adaptive ? rto_.rto() : cfg_.retransmit_timeout;
-  sim_.schedule_in(timeout, [this, seq, armed_at] {
+  sim_.arm_in(timeout, [this, seq, armed_at] {
     auto it = outstanding_.find(seq);
     if (it == outstanding_.end()) return;
     if (it->second.last_sent > armed_at) return;

@@ -99,7 +99,7 @@ void InOrderStreamSender::arm_timer() {
   const SimTime timeout =
       cfg_.rto.adaptive ? rto_.rto() : cfg_.retransmit_timeout;
   const std::uint64_t gen = ++timer_gen_;
-  sim_.schedule_in(timeout, [this, gen] {
+  sim_.arm_in(timeout, [this, gen] {
     if (gen != timer_gen_) return;  // superseded by a newer arm
     if (stats_.gave_up > 0 || base_ >= segments_.size()) return;
     Segment& s = segments_[base_];

@@ -141,7 +141,7 @@ void IpFragTransportSender::arm_timer(std::uint32_t id) {
   const SimTime armed_at = sim_.now();
   const SimTime timeout =
       cfg_.rto.adaptive ? rto_.rto() : cfg_.retransmit_timeout;
-  sim_.schedule_in(timeout, [this, id, armed_at] {
+  sim_.arm_in(timeout, [this, id, armed_at] {
     auto it = outstanding_.find(id);
     if (it == outstanding_.end()) return;
     if (it->second.last_sent > armed_at) return;

@@ -245,11 +245,11 @@ ChaosResult run_chaos(const ChaosScenario& sc, ChaosCapture* capture) {
     if (sc.mp_kill_at > 0) {
       MultipathScheduler* mp = mpath.get();
       const std::size_t victim = sc.mp_kill_path % sc.mp_paths;
-      sim.schedule_at(sc.mp_kill_at,
-                      [mp, victim] { mp->kill_path(victim); });
+      sim.arm_at(sc.mp_kill_at,
+                 [mp, victim] { mp->kill_path(victim); });
       if (sc.mp_revive_at > sc.mp_kill_at) {
-        sim.schedule_at(sc.mp_revive_at,
-                        [mp, victim] { mp->revive_path(victim); });
+        sim.arm_at(sc.mp_revive_at,
+                   [mp, victim] { mp->revive_path(victim); });
       }
     }
   } else {
@@ -306,9 +306,9 @@ ChaosResult run_chaos(const ChaosScenario& sc, ChaosCapture* capture) {
                    receiver->reorder_queue_chunks(),
                    receiver->unfinished_tpdus(),
                    static_cast<unsigned long long>(rs.acks_resent));
-      sim.schedule_in(100 * kMillisecond, *probe);
+      sim.arm_in(100 * kMillisecond, *probe);
     };
-    sim.schedule_in(100 * kMillisecond, *probe);
+    sim.arm_in(100 * kMillisecond, *probe);
   }
   sender->send_stream(stream);
   sim.run(sc.watchdog);
@@ -785,7 +785,7 @@ ChaosResult run_chaos_overload(const ChaosScenario& sc,
     const SimTime close_after = 5 * churn_step;
     for (std::uint32_t k = 0; k < churn_n; ++k) {
       const std::uint32_t cid = 0x40000000u + (k % distinct);
-      sim.schedule_at(
+      sim.arm_at(
           (k + 1) * churn_step,
           [&sim, &demux, &churn_live, &gov, cid, close_after] {
             ConnectionOpen open;
@@ -796,7 +796,7 @@ ChaosResult run_chaos_overload(const ChaosScenario& sc,
             sp.id = sim.next_packet_id();
             sp.created_at = sim.now();
             demux.on_packet(std::move(sp));
-            sim.schedule_in(close_after, [&demux, &churn_live, &gov, cid] {
+            sim.arm_in(close_after, [&demux, &churn_live, &gov, cid] {
               if (churn_live.erase(cid) == 0) return;  // refused / closed
               demux.detach(cid);
               if (gov != nullptr) gov->unbind_client(cid);

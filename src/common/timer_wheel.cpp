@@ -190,6 +190,7 @@ void TimerWheel::fire_due() {
 }
 
 void TimerWheel::advance(SimTime now) {
+  if (now > now_) now_ = now;
   const std::uint64_t target = now / cfg_.tick;
   fire_due();
   while (cur_tick_ < target) {

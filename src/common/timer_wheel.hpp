@@ -23,10 +23,12 @@
 // (or re-armed) id is a safe no-op, so callers never chase use-after-
 // fire races.
 //
-// `TimerWheel` is the pure data structure (drive advance() yourself —
-// the bench does); `SimTimerWheel` couples one to a Simulator with a
-// single self-rescheduling pump event, so wheel deadlines fire on the
-// sim clock without one sim event per timer.
+// `TimerWheel` is the pure data structure and a Clock of its own: its
+// now() is the time of the latest advance(), so whoever drives it (the
+// bench, the real-I/O EventLoop) decides what time the code armed on
+// it sees. `SimTimerWheel` couples one to another Clock, normally a
+// Simulator, with a single self-rescheduling pump deadline, so wheel
+// deadlines fire on that clock without one heap event per timer.
 #pragma once
 
 #include <cstddef>
@@ -35,11 +37,11 @@
 #include <optional>
 #include <vector>
 
-#include "src/netsim/simulator.hpp"
+#include "src/common/runtime.hpp"
 
 namespace chunknet {
 
-class TimerWheel {
+class TimerWheel final : public Clock {
  public:
   /// 0 is never a valid id: arm() always returns non-zero.
   using TimerId = std::uint64_t;
@@ -61,6 +63,12 @@ class TimerWheel {
   /// Schedules `cb` for `deadline` (absolute). Deadlines at or before
   /// the current tick fire on the next advance().
   TimerId arm(SimTime deadline, std::function<void()> cb);
+
+  /// The time of the latest advance() (0 before the first).
+  SimTime now() const override { return now_; }
+  void arm_at(SimTime deadline, std::function<void()> cb) override {
+    arm(deadline, std::move(cb));
+  }
 
   /// O(1). True when the timer was still pending (not fired, not
   /// already cancelled); stale ids are a safe no-op.
@@ -109,6 +117,7 @@ class TimerWheel {
   void step_boundaries();               ///< cur_tick_ crossed a multiple of 256
 
   Config cfg_;
+  SimTime now_{0};
   std::uint64_t cur_tick_{0};
   std::vector<Node> slab_;
   std::int32_t free_{kNil};
@@ -121,20 +130,20 @@ class TimerWheel {
   Stats stats_;
 };
 
-/// Couples a TimerWheel to a Simulator: one pump event is kept
-/// scheduled at (a bound on) the earliest pending deadline; firing it
-/// advances the wheel and re-schedules. Arming an earlier deadline
-/// pulls the pump earlier. Stale pump events (a later one left behind
-/// after an earlier arm) advance harmlessly and are bounded by the
-/// number of arms.
-class SimTimerWheel {
+/// Couples a TimerWheel to another Clock: one pump deadline is kept
+/// armed on it at (a bound on) the earliest pending wheel deadline;
+/// firing it advances the wheel and re-arms. Arming an earlier deadline
+/// pulls the pump earlier. Stale pumps (a later one left behind after
+/// an earlier arm) advance harmlessly and are bounded by the number of
+/// arms.
+class SimTimerWheel final : public Clock {
  public:
-  explicit SimTimerWheel(Simulator& sim) : sim_(sim) {}
-  SimTimerWheel(Simulator& sim, TimerWheel::Config cfg)
-      : sim_(sim), wheel_(cfg) {}
+  explicit SimTimerWheel(Clock& clock, TimerWheel::Config cfg = {})
+      : clock_(clock), wheel_(cfg) {}
 
+  /// Unlike arm_at, returns an id for cancel().
   TimerWheel::TimerId arm(SimTime deadline, std::function<void()> cb) {
-    wheel_.advance(sim_.now());
+    wheel_.advance(clock_.now());
     const TimerWheel::TimerId id = wheel_.arm(deadline, std::move(cb));
     // Wake at the deadline rounded up to the wheel's tick — the time
     // the wheel will actually consider it due.
@@ -142,35 +151,32 @@ class SimTimerWheel {
     pump((deadline + tick - 1) / tick * tick);
     return id;
   }
-  TimerWheel::TimerId arm_in(SimTime delay, std::function<void()> cb) {
-    return arm(sim_.now() + delay, std::move(cb));
-  }
   bool cancel(TimerWheel::TimerId id) { return wheel_.cancel(id); }
 
-  Simulator& sim() { return sim_; }
+  SimTime now() const override { return clock_.now(); }
+  void arm_at(SimTime deadline, std::function<void()> cb) override {
+    arm(deadline, std::move(cb));
+  }
+
   TimerWheel& wheel() { return wheel_; }
-  const TimerWheel& wheel() const { return wheel_; }
 
  private:
-  // Inline so chunknet_common carries no link-time dependency on the
-  // netsim library (only the bench/transport binaries, which link
-  // both, instantiate these).
   void pump(SimTime at) {
-    if (at < sim_.now()) at = sim_.now();
+    if (at < clock_.now()) at = clock_.now();
     if (wake_at_ <= at) return;  // an earlier-or-equal wake is outstanding
     wake_at_ = at;
-    sim_.schedule_at(at, [this] { on_wake(); });
+    clock_.arm_at(at, [this] { on_wake(); });
   }
   void on_wake() {
     wake_at_ = kNoWake;
-    wheel_.advance(sim_.now());
+    wheel_.advance(clock_.now());
     if (const auto nd = wheel_.next_deadline()) pump(*nd);
   }
 
-  Simulator& sim_;
+  Clock& clock_;
   TimerWheel wheel_;
   static constexpr SimTime kNoWake = ~SimTime{0};
-  SimTime wake_at_{kNoWake};  ///< earliest pump event outstanding
+  SimTime wake_at_{kNoWake};  ///< earliest pump deadline outstanding
 };
 
 }  // namespace chunknet

@@ -9,7 +9,7 @@ namespace chunknet {
 EventLoop::EventLoop(EventLoopConfig cfg)
     : sys_(cfg.sys != nullptr ? cfg.sys : &real_syscalls()),
       cfg_(cfg),
-      timers_(sim_, TimerWheel::Config{cfg.timer_tick}) {
+      timers_(TimerWheel::Config{cfg.timer_tick}) {
   epoch_ns_ = sys_->sys_monotonic_ns();
   // EPOLL_CLOEXEC: the udp_transfer example forks helpers; leaked epoll
   // fds across exec would pin the loop alive in the child.
@@ -17,6 +17,7 @@ EventLoop::EventLoop(EventLoopConfig cfg)
   event_buf_.resize(64);
   if (cfg_.obs != nullptr && cfg_.obs->metrics != nullptr) {
     c_eintr_ = &cfg_.obs->metrics->counter("io.loop.eintr_retries");
+    c_epoll_errors_ = &cfg_.obs->metrics->counter("io.loop.epoll_errors");
   }
 }
 
@@ -53,13 +54,9 @@ void EventLoop::del_fd(int fd) {
 }
 
 void EventLoop::pump_timers() {
-  const SimTime t = now();
-  while (sim_.pending() && sim_.next_event_at() <= t) {
-    stats_.timer_fires += sim_.run(t);
-  }
-  // Even with nothing due, the transport reads sim().now() for stamps
-  // and arm_in() offsets — keep it tracking the wall clock.
-  sim_.advance_to(t);
+  const std::uint64_t fired = timers_.stats().fired;
+  timers_.advance(now());
+  stats_.timer_fires += timers_.stats().fired - fired;
 }
 
 int EventLoop::poll_once(SimTime max_wait) {
@@ -70,10 +67,9 @@ int EventLoop::poll_once(SimTime max_wait) {
   // the loop default — whichever is soonest. Milliseconds, rounded UP
   // so a deadline 0.4 ms out does not busy-spin at timeout 0.
   SimTime wait = std::min(max_wait, cfg_.max_poll);
-  if (sim_.pending()) {
+  if (const auto next = timers_.next_deadline()) {
     const SimTime t = now();
-    const SimTime next = sim_.next_event_at();
-    wait = std::min(wait, next > t ? next - t : 0);
+    wait = std::min(wait, *next > t ? *next - t : 0);
   }
   const int timeout_ms =
       static_cast<int>((wait + kMillisecond - 1) / kMillisecond);
@@ -89,7 +85,11 @@ int EventLoop::poll_once(SimTime max_wait) {
       if (c_eintr_ != nullptr) c_eintr_->add();
       n = 0;
     } else {
-      n = 0;  // hard epoll failure: surfaces via stats_.polls stalling
+      // A hard failure (EBADF, EINVAL, ...) would otherwise be an
+      // uncounted busy spin until the caller's deadline: count it.
+      ++stats_.epoll_errors;
+      if (c_epoll_errors_ != nullptr) c_epoll_errors_->add();
+      n = 0;
     }
   }
   for (int i = 0; i < n; ++i) {

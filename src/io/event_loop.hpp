@@ -2,16 +2,15 @@
 // CLOCK_MONOTONIC.
 //
 // This is the runtime that moves chunknet off the discrete-event
-// simulator and onto real sockets. The trick that keeps the whole
-// transport stack (sender, receiver, demux, governor — all written
-// against `Simulator&`) reusable unchanged is that the loop OWNS a
-// Simulator and pumps it with real time: SimTime is nanoseconds since
-// the loop started, read from CLOCK_MONOTONIC through the syscall
-// shim, and each poll iteration runs every simulator event whose
-// deadline has passed. A deadline armed on the loop's SimTimerWheel
-// (RTO, gap-NAK, idle, reconnect backoff) therefore fires on real
-// time, and the epoll timeout is computed from the earliest pending
-// deadline so the loop sleeps exactly as long as it may.
+// simulator and onto real sockets. The transport stack (sender,
+// receiver, demux) runs unchanged because it is written against the
+// Clock seam (src/common/clock.hpp), and the loop's TimerWheel is a
+// Clock: loop time is nanoseconds since the loop started, read from
+// CLOCK_MONOTONIC through the syscall shim, and each poll iteration
+// advances the wheel to it. A deadline armed on timers() (RTO, gap-NAK,
+// reconnect backoff) therefore fires on real time, and the epoll
+// timeout is computed from the earliest pending deadline so the loop
+// sleeps exactly as long as it may.
 //
 // Single-threaded by design: every callback (fd readiness, timer,
 // datagram delivery) runs on the thread inside run()/poll_once(). The
@@ -25,7 +24,6 @@
 #include "src/common/flat_map.hpp"
 #include "src/common/timer_wheel.hpp"
 #include "src/io/syscall.hpp"
-#include "src/netsim/simulator.hpp"
 #include "src/obs/obs.hpp"
 
 namespace chunknet {
@@ -52,7 +50,7 @@ class EventLoop {
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// Nanoseconds since the loop was constructed (CLOCK_MONOTONIC).
+  /// Nanoseconds since construction, read fresh from CLOCK_MONOTONIC.
   SimTime now() const;
 
   /// Registers `fd` for `events` (EPOLLIN/EPOLLOUT/...). One callback
@@ -61,9 +59,10 @@ class EventLoop {
   bool mod_fd(int fd, std::uint32_t events);
   void del_fd(int fd);
 
-  /// The clock-and-deadline plumbing shared with the transport stack.
-  Simulator& sim() { return sim_; }
-  SimTimerWheel& timers() { return timers_; }
+  /// The transport-facing clock and deadline service. Its now() is the
+  /// loop time cached at the latest timer pump (poll_once advances it
+  /// before and after each epoll sleep), not a fresh read.
+  TimerWheel& timers() { return timers_; }
   SyscallShim& sys() { return *sys_; }
 
   /// One poll iteration: fire due timers, sleep at most until the next
@@ -84,19 +83,19 @@ class EventLoop {
   struct Stats {
     std::uint64_t polls{0};
     std::uint64_t fd_events{0};
-    std::uint64_t timer_fires{0};   ///< simulator events executed
+    std::uint64_t timer_fires{0};   ///< wheel callbacks fired
     std::uint64_t eintr_retries{0}; ///< epoll_wait interrupted, retried
+    std::uint64_t epoll_errors{0};  ///< epoll_wait failed hard (not EINTR)
   };
   const Stats& stats() const { return stats_; }
 
  private:
-  /// Runs every due simulator event (which advances the wheel).
+  /// Advances the wheel to now(), firing every due deadline.
   void pump_timers();
 
   SyscallShim* sys_;
   EventLoopConfig cfg_;
-  Simulator sim_;
-  SimTimerWheel timers_;
+  TimerWheel timers_;
   std::uint64_t epoch_ns_{0};
   int epfd_{-1};
   bool stopped_{false};
@@ -104,6 +103,7 @@ class EventLoop {
   std::vector<epoll_event> event_buf_;
   Stats stats_;
   Counter* c_eintr_{nullptr};
+  Counter* c_epoll_errors_{nullptr};
 };
 
 }  // namespace chunknet

@@ -23,18 +23,14 @@ UdpSenderSession::UdpSenderSession(EventLoop& loop,
     endpoint_->send(std::move(bytes));
   };
   sender_ =
-      std::make_unique<ChunkTransportSender>(loop.sim(), std::move(sc));
+      std::make_unique<ChunkTransportSender>(loop.timers(), std::move(sc));
 
   // Feedback path: ACK/NAK/grant packets from the receiver. The sender
   // decodes the envelope itself; malformed feedback dies in its strict
   // decoder exactly like malformed data dies in the receiver's.
   endpoint_->on_datagram(
       [this](PooledBuffer&& buf, const UdpAddress& /*from*/) {
-        SimPacket pkt;
-        pkt.bytes = buf.take();
-        pkt.id = loop_.sim().next_packet_id();
-        pkt.created_at = loop_.sim().now();
-        sender_->on_packet(std::move(pkt));
+        sender_->on_packet(SimPacket{.bytes = buf.take()});
       });
 }
 
@@ -82,7 +78,7 @@ UdpReceiverSession::UdpReceiverSession(EventLoop& loop,
     endpoint_->send_to(std::move(body), *reply_to_);
   };
   receiver_ =
-      std::make_unique<ChunkTransportReceiver>(loop.sim(), std::move(rc));
+      std::make_unique<ChunkTransportReceiver>(loop.timers(), std::move(rc));
 
   endpoint_->on_datagram([this](PooledBuffer&& buf, const UdpAddress& from) {
     handle_datagram(std::move(buf), from);
@@ -91,7 +87,7 @@ UdpReceiverSession::UdpReceiverSession(EventLoop& loop,
 
 void UdpReceiverSession::handle_datagram(PooledBuffer&& buf,
                                          const UdpAddress& from) {
-  const SimTime now = loop_.sim().now();
+  const SimTime now = loop_.timers().now();
   const IngressGuard::Verdict v =
       guard_->screen(buf.bytes(), from, now, view_scratch_);
   if (v != IngressGuard::Verdict::kAccept) return;  // counted by the guard
@@ -113,7 +109,7 @@ void UdpReceiverSession::handle_datagram(PooledBuffer&& buf,
   }
   reply_to_ = from;
 
-  const std::uint64_t pkt_id = loop_.sim().next_packet_id();
+  const std::uint64_t pkt_id = ++rx_datagrams_;
   // The pooled buffer stays alive (and unmoved) in `buf` for the whole
   // loop — the views alias it. ~PooledBuffer recycles it afterwards.
   for (const ChunkView& cv : view_scratch_) {

@@ -1,6 +1,6 @@
 // Chunk transport over a real UDP socket: the glue that runs
-// ChunkTransportSender / ChunkTransportReceiver — written against the
-// discrete-event Simulator — on an EventLoop and a UdpEndpoint.
+// ChunkTransportSender / ChunkTransportReceiver on an EventLoop (whose
+// timer wheel is their clock) and a UdpEndpoint.
 //
 // A session owns the endpoint, wires the transport's send_packet /
 // send_control callbacks into the endpoint's TX queue, and feeds
@@ -45,8 +45,8 @@ struct UdpSenderSessionConfig {
   UdpAddress peer{};
   /// Local bind (default: ephemeral loopback).
   UdpAddress bind{};
-  /// Transport configuration. send_packet, timers and the simulator
-  /// are provided by the session; everything else is the caller's.
+  /// Transport configuration. send_packet and (unless set) timers are
+  /// provided by the session; everything else is the caller's.
   SenderConfig sender{};
   /// Endpoint tuning (peer/bind/obs are overwritten by the session).
   UdpEndpointConfig endpoint{};
@@ -85,8 +85,8 @@ struct UdpReceiverSessionConfig {
   /// Where to listen. Required (a receiver with an ephemeral port is
   /// fine for tests; read it back via endpoint().local_addr()).
   UdpAddress bind{};
-  /// Transport configuration. send_control, timers and the simulator
-  /// are provided by the session.
+  /// Transport configuration. send_control and (unless set) timers are
+  /// provided by the session.
   ReceiverConfig receiver{};
   UdpEndpointConfig endpoint{};
   IngressGuardConfig guard{};
@@ -123,6 +123,8 @@ class UdpReceiverSession {
   /// Control replies go to the source of the last admitted datagram —
   /// which survives a SENDER restart from a new ephemeral port.
   std::optional<UdpAddress> reply_to_;
+  /// Trace packet id: admitted datagrams of this session, counted.
+  std::uint64_t rx_datagrams_{0};
 };
 
 }  // namespace chunknet

@@ -130,7 +130,7 @@ Link::LaneSlot Link::occupy_lane(std::size_t bytes) {
 void Link::deliver_copy(const SimPacket& pkt, SimTime at) {
   SimPacket copy = pkt;
   ++copy.hops;
-  sim_.schedule_at(at, [this, p = std::move(copy)]() mutable {
+  sim_.arm_at(at, [this, p = std::move(copy)]() mutable {
     ++stats_.delivered;
     stats_.bytes_delivered += p.bytes.size();
     obs_add(m_.delivered);

@@ -90,8 +90,8 @@ void MultipathScheduler::send(SimPacket pkt) {
 
   inflight_[pkt.id] = Inflight{static_cast<std::uint32_t>(i), sim_.now()};
   const std::uint64_t id = pkt.id;
-  sim_.schedule_in(effective_deadline(p),
-                   [this, id] { evidence_deadline(id); });
+  sim_.arm_in(effective_deadline(p),
+              [this, id] { evidence_deadline(id); });
 
   // The path's private loss process eats the packet before the link
   // ever sees it; the evidence deadline turns the silence into loss.

@@ -115,7 +115,7 @@ void BatchingChunkRouter::on_packet(SimPacket pkt) {
   for (auto& c : parsed.chunks) pending_.push_back(std::move(c));
   if (!timer_armed_) {
     timer_armed_ = true;
-    sim_.schedule_in(window_, [this] { flush(); });
+    sim_.arm_in(window_, [this] { flush(); });
   }
 }
 

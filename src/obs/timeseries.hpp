@@ -19,7 +19,7 @@
 #include <string_view>
 #include <vector>
 
-#include "src/netsim/simulator.hpp"
+#include "src/common/runtime.hpp"
 #include "src/obs/metrics.hpp"
 
 namespace chunknet {
@@ -95,9 +95,9 @@ void attach_sampler(Sim& sim, TimeSeriesSampler& sampler) {
   auto tick = std::make_shared<std::function<void()>>();
   *tick = [&sim, &sampler, tick] {
     sampler.sample(sim.now());
-    if (sim.pending()) sim.schedule_in(sampler.interval(), *tick);
+    if (sim.pending()) sim.arm_in(sampler.interval(), *tick);
   };
-  sim.schedule_in(sampler.interval(), *tick);
+  sim.arm_in(sampler.interval(), *tick);
 }
 
 }  // namespace chunknet

@@ -19,7 +19,8 @@ std::uint32_t round_up_pow2(std::uint32_t v) {
 }
 }  // namespace
 
-ChunkDemultiplexer::ChunkDemultiplexer(DemuxConfig cfg) : cfg_(std::move(cfg)) {
+ChunkDemultiplexer::ChunkDemultiplexer(DemuxConfig cfg)
+    : cfg_(std::move(cfg)), clock_(cfg_.timers) {
   const std::uint32_t n = round_up_pow2(cfg_.shards == 0 ? 1 : cfg_.shards);
   int bits = 0;
   while ((1u << bits) < n) ++bits;
@@ -52,13 +53,12 @@ std::uint32_t ChunkDemultiplexer::lease_id(const Shard& sh) const {
 }
 
 SimTime ChunkDemultiplexer::now() const {
-  if (cfg_.timers != nullptr) return cfg_.timers->sim().now();
-  return sim_ != nullptr ? sim_->now() : 0;
+  return clock_ != nullptr ? clock_->now() : 0;
 }
 
-void ChunkDemultiplexer::set_obs(ObsContext* obs, Simulator* sim) {
+void ChunkDemultiplexer::set_obs(ObsContext* obs, const Clock* clock) {
   obs_ = obs;
-  sim_ = sim;
+  if (cfg_.timers == nullptr) clock_ = clock;
   if (obs_ != nullptr && obs_->metrics != nullptr) {
     MetricsRegistry& m = *obs_->metrics;
     for (std::size_t i = 0; i < shards_.size(); ++i) {

@@ -29,8 +29,8 @@
 #include "src/common/flat_map.hpp"
 #include "src/common/pick_queue.hpp"
 #include "src/common/resource_governor.hpp"
+#include "src/common/runtime.hpp"
 #include "src/common/timer_wheel.hpp"
-#include "src/netsim/simulator.hpp"
 #include "src/transport/receiver.hpp"
 #include "src/transport/signalling.hpp"
 
@@ -114,9 +114,9 @@ class ChunkDemultiplexer final : public PacketSink {
   }
 
   /// Observability (optional): connection-admission span events are
-  /// recorded against `sim`'s clock, and per-shard routing counters
-  /// are published to the metrics registry.
-  void set_obs(ObsContext* obs, Simulator* sim);
+  /// recorded against `clock` (cfg.timers when set takes precedence),
+  /// and per-shard routing counters are published to the registry.
+  void set_obs(ObsContext* obs, const Clock* clock);
 
   /// Programmatic admission (benches / topology builders): reserves
   /// governor headroom for `connection_id` without a ConnectionOpen
@@ -213,7 +213,7 @@ class ChunkDemultiplexer final : public PacketSink {
   int shard_shift_{32};
   PacketSink* control_{nullptr};
   ObsContext* obs_{nullptr};
-  Simulator* sim_{nullptr};
+  const Clock* clock_;  ///< cfg.timers if set, else set_obs's clock
   DemuxAdmissionConfig admission_;
   /// Reused across packets (no per-packet allocation at steady state).
   std::vector<ChunkView> view_scratch_;

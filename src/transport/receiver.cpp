@@ -26,9 +26,9 @@ const char* to_string(TpduVerdict v) {
   return "?";
 }
 
-ChunkTransportReceiver::ChunkTransportReceiver(Simulator& sim,
+ChunkTransportReceiver::ChunkTransportReceiver(Clock& clock,
                                                ReceiverConfig cfg)
-    : sim_(sim),
+    : clock_(cfg.timers ? *cfg.timers : clock),
       cfg_(std::move(cfg)),
       app_buffer_(cfg_.app_buffer_bytes, 0) {
   if (cfg_.obs != nullptr) spans_ = cfg_.obs->spans;
@@ -141,7 +141,7 @@ void ChunkTransportReceiver::trace_chunk(TraceEventKind kind,
                                          std::uint64_t aux) const {
   if (cfg_.obs == nullptr || cfg_.obs->tracer == nullptr) return;
   TraceEvent e;
-  e.t = sim_.now();
+  e.t = clock_.now();
   e.kind = kind;
   e.site = cfg_.obs_site;
   e.packet_id = packet_id;
@@ -156,7 +156,7 @@ void ChunkTransportReceiver::trace_packet(TraceEventKind kind,
                                           std::uint64_t packet_id) const {
   if (cfg_.obs == nullptr || cfg_.obs->tracer == nullptr) return;
   TraceEvent e;
-  e.t = sim_.now();
+  e.t = clock_.now();
   e.kind = kind;
   e.site = cfg_.obs_site;
   e.packet_id = packet_id;
@@ -167,7 +167,7 @@ void ChunkTransportReceiver::span(SpanEventKind kind, std::uint32_t tpdu_id,
                                   std::uint64_t aux) const {
   if (spans_ == nullptr) return;
   SpanEvent e;
-  e.t = sim_.now();
+  e.t = clock_.now();
   e.kind = kind;
   e.connection_id = cfg_.connection_id;
   e.tpdu_id = tpdu_id;
@@ -283,7 +283,7 @@ void ChunkTransportReceiver::handle_data_chunk(const ChunkView& v,
   TpduState& st = *stp;
   if (inserted) st.order_node = active_.push_back(v.h.tpdu.id);
   if (st.elements == 0 && st.first_chunk_at == 0) {
-    st.first_chunk_at = sim_.now();
+    st.first_chunk_at = clock_.now();
     span(SpanEventKind::kTpduFirstChunk, v.h.tpdu.id);
   }
   arm_gap_nak_timer(v.h.tpdu.id, st);
@@ -526,7 +526,7 @@ void ChunkTransportReceiver::place_chunk(
   trace_chunk(TraceEventKind::kChunkPlaced, h, packet_id,
               was_held ? 1 : 0);
   const double latency =
-      static_cast<double>(sim_.now() - packet_created_at);
+      static_cast<double>(clock_.now() - packet_created_at);
   obs_observe(m_.delivery_latency, latency, h.len);
   if (cfg_.record_latency_samples) {
     for (std::uint32_t i = 0; i < h.len; ++i) {
@@ -563,7 +563,7 @@ void ChunkTransportReceiver::handle_ed_chunk(const ChunkView& v) {
     return;
   }
   if (st.first_chunk_at == 0) {
-    st.first_chunk_at = sim_.now();
+    st.first_chunk_at = clock_.now();
     span(SpanEventKind::kTpduFirstChunk, v.h.tpdu.id);
   }
   st.received_code = parse_ed_chunk(v);
@@ -627,7 +627,7 @@ void ChunkTransportReceiver::try_finish(std::uint32_t tpdu_id, TpduState& st) {
   }
   if (cfg_.obs != nullptr && cfg_.obs->tracer != nullptr) {
     TraceEvent e;
-    e.t = sim_.now();
+    e.t = clock_.now();
     e.kind = verdict == TpduVerdict::kAccepted
                  ? TraceEventKind::kTpduAccepted
                  : TraceEventKind::kTpduRejected;
@@ -643,7 +643,7 @@ void ChunkTransportReceiver::try_finish(std::uint32_t tpdu_id, TpduState& st) {
     outcome.tpdu_id = tpdu_id;
     outcome.verdict = verdict;
     outcome.first_chunk_at = st.first_chunk_at;
-    outcome.completed_at = sim_.now();
+    outcome.completed_at = clock_.now();
     outcome.elements = st.elements;
     cfg_.on_tpdu(outcome);
   }
@@ -671,15 +671,8 @@ void ChunkTransportReceiver::arm_gap_nak_timer(std::uint32_t tpdu_id,
     return;
   }
   st.nak_timer_armed = true;
-  if (cfg_.timers != nullptr) {
-    // Shared-wheel path: O(1) arm, one pump event for the whole
-    // endpoint instead of one simulator heap node per pending NAK.
-    cfg_.timers->arm_in(cfg_.gap_nak_delay,
-                        [this, tpdu_id] { fire_gap_nak(tpdu_id); });
-  } else {
-    sim_.schedule_in(cfg_.gap_nak_delay,
-                     [this, tpdu_id] { fire_gap_nak(tpdu_id); });
-  }
+  clock_.arm_in(cfg_.gap_nak_delay,
+                [this, tpdu_id] { fire_gap_nak(tpdu_id); });
 }
 
 void ChunkTransportReceiver::fire_gap_nak(std::uint32_t tpdu_id) {

@@ -31,8 +31,7 @@
 #include "src/common/interval_set.hpp"
 #include "src/common/pick_queue.hpp"
 #include "src/common/resource_governor.hpp"
-#include "src/common/timer_wheel.hpp"
-#include "src/netsim/simulator.hpp"
+#include "src/common/runtime.hpp"
 #include "src/obs/obs.hpp"
 #include "src/reassembly/virtual_reassembly.hpp"
 #include "src/transport/invariant.hpp"
@@ -84,11 +83,11 @@ struct ReceiverConfig {
   /// recovery). Re-armed after each NAK, up to max_gap_naks times.
   SimTime gap_nak_delay{0};
   int max_gap_naks{6};
-  /// When set, gap-NAK deadlines are armed on this shared timer wheel
-  /// instead of as individual simulator events — at million-flow scale
-  /// one pump event replaces one heap node per pending deadline. The
-  /// wheel must outlive the receiver.
-  SimTimerWheel* timers{nullptr};
+  /// Replaces the constructor's clock for time and gap-NAK deadlines —
+  /// typically a shared SimTimerWheel: at million-flow scale one pump
+  /// event replaces one heap node per pending deadline. Must outlive
+  /// the receiver.
+  Clock* timers{nullptr};
   /// When set, packets in the compact Appendix-A syntax (magic 0xC5)
   /// are accepted under this (signalled) profile, alongside canonical
   /// ones — "chunk headers can have different formats in different
@@ -145,7 +144,7 @@ struct ReceiverConfig {
 
 class ChunkTransportReceiver final : public PacketSink {
  public:
-  ChunkTransportReceiver(Simulator& sim, ReceiverConfig cfg);
+  ChunkTransportReceiver(Clock& clock, ReceiverConfig cfg);
   ~ChunkTransportReceiver() override;
 
   void on_packet(SimPacket pkt) override;
@@ -349,7 +348,7 @@ class ChunkTransportReceiver final : public PacketSink {
     Counter* grants_sent{nullptr};
   };
 
-  Simulator& sim_;
+  Clock& clock_;  ///< cfg.timers if set, else the constructor's clock
   ReceiverConfig cfg_;
   ObsHandles m_;
   SpanRecorder* spans_{nullptr};  ///< resolved once; hot path

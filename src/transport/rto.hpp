@@ -22,7 +22,7 @@
 
 #include <cstdint>
 
-#include "src/netsim/simulator.hpp"
+#include "src/common/runtime.hpp"
 
 namespace chunknet {
 

@@ -9,8 +9,8 @@
 
 namespace chunknet {
 
-ChunkTransportSender::ChunkTransportSender(Simulator& sim, SenderConfig cfg)
-    : sim_(sim),
+ChunkTransportSender::ChunkTransportSender(Clock& clock, SenderConfig cfg)
+    : clock_(cfg.timers ? *cfg.timers : clock),
       cfg_(std::move(cfg)),
       rto_(cfg_.rto, cfg_.retransmit_timeout) {
   if (cfg_.obs != nullptr) spans_ = cfg_.obs->spans;
@@ -59,7 +59,7 @@ void ChunkTransportSender::trace_chunk(TraceEventKind kind,
                                        std::uint64_t aux) const {
   if (cfg_.obs == nullptr || cfg_.obs->tracer == nullptr) return;
   TraceEvent e;
-  e.t = sim_.now();
+  e.t = clock_.now();
   e.kind = kind;
   e.site = cfg_.obs_site;
   e.tpdu_id = h.tpdu.id;
@@ -73,7 +73,7 @@ void ChunkTransportSender::span(SpanEventKind kind, std::uint32_t tpdu_id,
                                 std::uint64_t aux) const {
   if (spans_ == nullptr) return;
   SpanEvent e;
-  e.t = sim_.now();
+  e.t = clock_.now();
   e.kind = kind;
   e.connection_id = cfg_.framer.connection_id;
   e.tpdu_id = tpdu_id;
@@ -155,20 +155,11 @@ void ChunkTransportSender::pump_queue() {
   publish_flow_gauges();
 }
 
-void ChunkTransportSender::schedule_after(SimTime delay,
-                                          std::function<void()> cb) {
-  if (cfg_.timers != nullptr) {
-    cfg_.timers->arm_in(delay, std::move(cb));
-  } else {
-    sim_.schedule_in(delay, std::move(cb));
-  }
-}
-
 void ChunkTransportSender::arm_probe() {
   if (probe_armed_) return;
   probe_armed_ = true;
   const std::uint64_t epoch = admit_epoch_;
-  schedule_after(cfg_.flow.probe_timeout, [this, epoch] {
+  clock_.arm_in(cfg_.flow.probe_timeout, [this, epoch] {
     probe_armed_ = false;
     if (send_queue_.empty()) return;
     if (admit_epoch_ != epoch) {
@@ -236,7 +227,7 @@ void ChunkTransportSender::handle_credit_grant(const Chunk& signal) {
 void ChunkTransportSender::transmit_tpdu(std::uint32_t tpdu_id,
                                          PendingTpdu& p) {
   ++p.attempts;
-  p.last_sent = sim_.now();
+  p.last_sent = clock_.now();
   if (p.attempts > 1) {
     p.retransmitted = true;
     for (const Chunk& c : p.chunks) {
@@ -279,10 +270,10 @@ std::size_t ChunkTransportSender::abandon_outstanding() {
 }
 
 void ChunkTransportSender::arm_timer(std::uint32_t tpdu_id) {
-  const SimTime armed_at = sim_.now();
+  const SimTime armed_at = clock_.now();
   const SimTime timeout =
       cfg_.rto.adaptive ? rto_.rto() : cfg_.retransmit_timeout;
-  schedule_after(timeout, [this, tpdu_id, armed_at] {
+  clock_.arm_in(timeout, [this, tpdu_id, armed_at] {
     auto it = outstanding_.find(tpdu_id);
     if (it == outstanding_.end()) return;          // acked meanwhile
     if (it->second.last_sent > armed_at) return;   // newer timer pending
@@ -345,7 +336,7 @@ void ChunkTransportSender::send_chunk_views(std::span<const ChunkView> views) {
     obs_add(m_.tx_gather_bytes, gp.borrowed_payload_bytes);
     if (cfg_.obs != nullptr && cfg_.obs->tracer != nullptr) {
       TraceEvent e;
-      e.t = sim_.now();
+      e.t = clock_.now();
       e.kind = TraceEventKind::kPacketized;
       e.site = cfg_.obs_site;
       e.aux = gp.wire_size;
@@ -382,7 +373,7 @@ void ChunkTransportSender::send_chunks(std::vector<Chunk> chunks) {
     obs_add(m_.bytes_sent, pkt.size());
     if (cfg_.obs != nullptr && cfg_.obs->tracer != nullptr) {
       TraceEvent e;
-      e.t = sim_.now();
+      e.t = clock_.now();
       e.kind = TraceEventKind::kPacketized;
       e.site = cfg_.obs_site;
       e.aux = pkt.size();
@@ -452,7 +443,7 @@ void ChunkTransportSender::handle_gap_nak(const Chunk& signal) {
     }
   }
   if (resend.empty()) return;
-  it->second.last_sent = sim_.now();  // quiet the whole-TPDU backstop
+  it->second.last_sent = clock_.now();  // quiet the whole-TPDU backstop
   it->second.retransmitted = true;    // Karn: later ACK is ambiguous
   if (use_gather()) {
     send_chunk_views(resend);
@@ -482,7 +473,7 @@ void ChunkTransportSender::on_packet(SimPacket pkt) {
     auto it = outstanding_.find(ack.tpdu_id);
     if (it == outstanding_.end()) continue;
     if (ack.positive) {
-      rto_.on_sample(sim_.now() - it->second.last_sent,
+      rto_.on_sample(clock_.now() - it->second.last_sent,
                      it->second.retransmitted);
       // Karn's rule: an ACK for a retransmitted TPDU is ambiguous, so
       // the estimator discarded that sample.

@@ -24,8 +24,7 @@
 #include "src/chunk/compress.hpp"
 #include "src/chunk/gather.hpp"
 #include "src/chunk/packetizer.hpp"
-#include "src/common/timer_wheel.hpp"
-#include "src/netsim/simulator.hpp"
+#include "src/common/runtime.hpp"
 #include "src/obs/obs.hpp"
 #include "src/transport/invariant.hpp"
 #include "src/transport/rto.hpp"
@@ -43,11 +42,11 @@ struct SenderConfig {
   /// retransmission timer tracks measured RTT instead of the fixed
   /// `retransmit_timeout` (which then only seeds the estimator).
   RtoConfig rto{};
-  /// When set, retransmission and zero-credit-probe deadlines are armed
-  /// on this shared timer wheel instead of as individual simulator heap
-  /// events — at million-flow scale one pump event replaces one heap
-  /// node per armed deadline. The wheel must outlive the sender.
-  SimTimerWheel* timers{nullptr};
+  /// Replaces the constructor's clock for time, retransmission and
+  /// zero-credit-probe deadlines — typically a shared SimTimerWheel: at
+  /// million-flow scale one pump event replaces one heap node per armed
+  /// deadline. Must outlive the sender.
+  Clock* timers{nullptr};
   /// Selective retransmission (extension): honour GapNak signal chunks
   /// by resending ONLY the missing element runs (chunks are cut to the
   /// exact gap boundaries with the Appendix-C split, so the receiver's
@@ -99,7 +98,7 @@ struct SenderConfig {
 
 class ChunkTransportSender final : public PacketSink {
  public:
-  ChunkTransportSender(Simulator& sim, SenderConfig cfg);
+  ChunkTransportSender(Clock& clock, SenderConfig cfg);
 
   /// Frames and transmits the whole stream (length must be a multiple
   /// of the framer element size). May be called once per connection.
@@ -190,9 +189,6 @@ class ChunkTransportSender final : public PacketSink {
 
   void transmit_tpdu(std::uint32_t tpdu_id, PendingTpdu& p);
   void arm_timer(std::uint32_t tpdu_id);
-  /// Routes a deadline to the shared wheel when configured, else to the
-  /// simulator's event heap.
-  void schedule_after(SimTime delay, std::function<void()> cb);
   void handle_gap_nak(const Chunk& signal);
   void handle_credit_grant(const Chunk& signal);
   /// Admits queued TPDUs while credit and slots allow; arms the
@@ -240,7 +236,7 @@ class ChunkTransportSender final : public PacketSink {
     Gauge* inflight_tpdus{nullptr};
   };
 
-  Simulator& sim_;
+  Clock& clock_;  ///< cfg.timers if set, else the constructor's clock
   SenderConfig cfg_;
   RtoEstimator rto_;
   ObsHandles m_;

@@ -260,7 +260,7 @@ TEST(DemuxShards, IdleConnectionsEvictLruFirstActiveSurvive) {
 
   // Keep even ids warm with periodic traffic; odd ids go silent.
   for (int round = 0; round < 6; ++round) {
-    sim.schedule_at(static_cast<SimTime>(round) * 40 * kMillisecond, [&] {
+    sim.arm_at(static_cast<SimTime>(round) * 40 * kMillisecond, [&] {
       for (std::uint32_t id = 2; id <= 8; id += 2) {
         std::vector<std::uint8_t> stream(16, 1);
         demux.on_packet(wrap(sim, chunks_for(id, stream)));

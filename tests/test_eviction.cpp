@@ -152,9 +152,9 @@ TEST(Eviction, ReassembleCapEvictsOldestHolderAndRecovers) {
   };
 
   // Distinct arrival times make "oldest holder" well-defined.
-  sim.schedule_at(1 * kMillisecond, [&] { feed_data(0); });  // holds 32 B
-  sim.schedule_at(2 * kMillisecond, [&] { feed_data(1); });  // holds 64 B
-  sim.schedule_at(3 * kMillisecond, [&] {
+  sim.arm_at(1 * kMillisecond, [&] { feed_data(0); });  // holds 32 B
+  sim.arm_at(2 * kMillisecond, [&] { feed_data(1); });  // holds 64 B
+  sim.arm_at(3 * kMillisecond, [&] {
     // 16 more bytes exceed the cap: TPDU 0 (oldest) is evicted whole.
     rx.on_chunk(tpdus[2][0], 0);
   });
@@ -227,15 +227,15 @@ TEST(Eviction, OpenTpduCapPrefersIncompleteOverCompleteUndelivered) {
   ChunkTransportReceiver rx(sim, std::move(rc));
 
   // TPDU 0 (oldest): all data placed, awaiting only its ED chunk.
-  sim.schedule_at(1 * kMillisecond, [&] {
+  sim.arm_at(1 * kMillisecond, [&] {
     for (const auto& c : tpdus[0]) {
       if (c.h.type == ChunkType::kData) rx.on_chunk(c, 0);
     }
   });
   // TPDU 1 (younger): one chunk, incomplete.
-  sim.schedule_at(2 * kMillisecond, [&] { rx.on_chunk(tpdus[1][0], 0); });
+  sim.arm_at(2 * kMillisecond, [&] { rx.on_chunk(tpdus[1][0], 0); });
   // TPDU 2's first chunk forces an eviction at the cap.
-  sim.schedule_at(3 * kMillisecond, [&] { rx.on_chunk(tpdus[2][0], 0); });
+  sim.arm_at(3 * kMillisecond, [&] { rx.on_chunk(tpdus[2][0], 0); });
   sim.run();
   EXPECT_EQ(rx.stats().tpdus_evicted, 1u);
 

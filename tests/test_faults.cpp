@@ -85,8 +85,8 @@ TEST(FaultInjector, BlackoutWindowsDropEverythingInside) {
   // 20 packets at 10 ms spacing: t ∈ {0,10,20} and {100,110,120} fall
   // inside the two blackout windows.
   for (int i = 0; i < 20; ++i) {
-    sim.schedule_at(static_cast<SimTime>(i) * 10 * kMillisecond,
-                    [&] { inj.on_packet(packet_of(sim, 64)); });
+    sim.arm_at(static_cast<SimTime>(i) * 10 * kMillisecond,
+               [&] { inj.on_packet(packet_of(sim, 64)); });
   }
   sim.run();
   EXPECT_EQ(inj.stats().offered, 20u);

@@ -441,9 +441,9 @@ TEST(FlowControl, HardWatermarkHoldsThroughOverloadSweep) {
     const bool busy = std::any_of(
         conns.begin(), conns.end(),
         [](const Conn& c) { return !c.sender->finished(); });
-    if (busy) sim.schedule_in(1 * kMillisecond, *sampler);
+    if (busy) sim.arm_in(1 * kMillisecond, *sampler);
   };
-  sim.schedule_in(1 * kMillisecond, *sampler);
+  sim.arm_in(1 * kMillisecond, *sampler);
 
   const auto stream = pattern(nbytes);
   for (Conn& c : conns) c.sender->send_stream(stream);

@@ -37,10 +37,10 @@ struct Rig {
   Rig(Simulator& sim, LinkConfig fwd, InOrderStreamConfig cfg, Rng& rng)
       : receiver(sim, 1 << 20,
                  [this, &sim](std::vector<std::uint8_t> bytes) {
-                   sim.schedule_in(1 * kMillisecond,
-                                   [this, &sim, b = std::move(bytes)] {
+                   sim.arm_in(1 * kMillisecond,
+                              [this, &sim, b = std::move(bytes)] {
                                      sender->on_packet(wrap(sim, b));
-                                   });
+                              });
                  }),
         link(sim, fwd, receiver, rng) {
     cfg.send_packet = [this, &sim](std::vector<std::uint8_t> bytes) {
@@ -111,7 +111,7 @@ TEST(InOrderStream, DupAckTriggersFastRetransmitBeforeRto) {
   InOrderStreamSender* tx = nullptr;
   InOrderStreamReceiver receiver(
       sim, 1 << 20, [&](std::vector<std::uint8_t> bytes) {
-        sim.schedule_in(1 * kMillisecond, [&, b = std::move(bytes)] {
+        sim.arm_in(1 * kMillisecond, [&, b = std::move(bytes)] {
           tx->on_packet(wrap(sim, b));
         });
       });
@@ -124,7 +124,7 @@ TEST(InOrderStream, DupAckTriggersFastRetransmitBeforeRto) {
       dropped_one = true;
       return;  // the one lost packet
     }
-    sim.schedule_in(1 * kMillisecond, [&, b = std::move(bytes)] {
+    sim.arm_in(1 * kMillisecond, [&, b = std::move(bytes)] {
       rx->on_packet(wrap(sim, b));
     });
   };

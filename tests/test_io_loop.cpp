@@ -1,6 +1,6 @@
 // EventLoop on real time: timers armed on the loop's wheel fire on
-// CLOCK_MONOTONIC, the epoll sleep tracks the earliest deadline, and
-// an interrupted epoll_wait is a retry, not an error.
+// CLOCK_MONOTONIC, the epoll sleep tracks the earliest deadline, an
+// interrupted epoll_wait is a retry, and a failed one is counted.
 #include <gtest/gtest.h>
 
 #include <sys/epoll.h>
@@ -14,12 +14,12 @@ namespace {
 
 TEST(IoLoop, TimerFiresOnRealTime) {
   EventLoop loop;
-  ASSERT_TRUE(loop.sim().pending() == false);
+  ASSERT_TRUE(loop.timers().armed() == 0);
   bool fired = false;
   SimTime fired_at = 0;
   loop.timers().arm_in(5 * kMillisecond, [&] {
     fired = true;
-    fired_at = loop.sim().now();
+    fired_at = loop.timers().now();
   });
   ASSERT_TRUE(loop.run_until([&] { return fired; }, 500 * kMillisecond));
   // Fired no earlier than armed (modulo the wheel's 1 ms tick) and
@@ -28,15 +28,20 @@ TEST(IoLoop, TimerFiresOnRealTime) {
   EXPECT_LT(fired_at, 250 * kMillisecond);
 }
 
-TEST(IoLoop, SimClockTracksWallClock) {
+TEST(IoLoop, TransportClockTracksWallClock) {
   EventLoop loop;
-  const SimTime a = loop.sim().now();
-  loop.poll_once(2 * kMillisecond);
-  loop.poll_once(2 * kMillisecond);
-  const SimTime b = loop.sim().now();
-  // advance_to keeps sim time fresh even with no events pending.
-  EXPECT_GT(b, a);
-  EXPECT_LE(b, loop.now());
+  // The clock the transport reads is the loop time cached at each
+  // timer pump: it moves with the wall clock even when nothing is
+  // armed, and never runs ahead of a fresh read.
+  Clock& clock = loop.timers();
+  SimTime prev = clock.now();
+  for (int i = 0; i < 3; ++i) {
+    loop.poll_once(2 * kMillisecond);
+    const SimTime t = clock.now();
+    EXPECT_GT(t, prev);
+    EXPECT_LE(t, loop.now());
+    prev = t;
+  }
 }
 
 TEST(IoLoop, TimerOrderingPreserved) {
@@ -81,6 +86,27 @@ TEST(IoLoop, EpollWaitEintrIsRetriedAndCounted) {
   loop.timers().arm_in(2 * kMillisecond, [&] { fired = true; });
   ASSERT_TRUE(loop.run_until([&] { return fired; }, kSecond));
   EXPECT_EQ(loop.stats().eintr_retries, 3u);
+  EXPECT_EQ(faulty.pending(), 0u);
+}
+
+TEST(IoLoop, EpollWaitHardFailureIsCountedNotSilent) {
+  MetricsRegistry metrics;
+  ObsContext obs;
+  obs.metrics = &metrics;
+  FaultInjectingSyscalls faulty(real_syscalls());
+  faulty.fail_next(IoCall::kEpollWait, EBADF, 3);
+  EventLoopConfig cfg;
+  cfg.sys = &faulty;
+  cfg.obs = &obs;
+  EventLoop loop(cfg);
+  const SimTime start = loop.now();
+  EXPECT_FALSE(
+      loop.run_until([] { return false; }, start + 10 * kMillisecond));
+  EXPECT_GE(loop.now(), start + 10 * kMillisecond);
+  EXPECT_LT(loop.now(), start + kSecond);
+  EXPECT_EQ(loop.stats().epoll_errors, 3u);
+  EXPECT_EQ(loop.stats().eintr_retries, 0u);
+  EXPECT_EQ(metrics.counter("io.loop.epoll_errors").value(), 3u);
   EXPECT_EQ(faulty.pending(), 0u);
 }
 

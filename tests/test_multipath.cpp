@@ -113,7 +113,7 @@ TEST(Multipath, FlowletSticksWithinBurstAndRepicksAfterGap) {
   // Burst 2 long after the flowlet gap: path 0 now has a ~5 ms delay
   // EWMA while path 1 is unprobed (reads as "try me"), so the new
   // flowlet lands on path 1 — one switch, not ten.
-  sim.schedule_at(100 * kMillisecond, [&] {
+  sim.arm_at(100 * kMillisecond, [&] {
     for (int i = 0; i < 10; ++i) mp.send(packet_of(sim, 500));
   });
   sim.run();
@@ -149,8 +149,8 @@ TEST(Multipath, ConsecutiveLossEvidenceFailsOverToCleanPath) {
   paths[1].link.loss_rate = 1.0;  // path 1 silently eats everything
   MultipathScheduler mp(sim, cfg, std::move(paths), sink, rng);
   for (int i = 0; i < 100; ++i) {
-    sim.schedule_at(static_cast<SimTime>(i) * 2 * kMillisecond,
-                    [&] { mp.send(packet_of(sim, 1000)); });
+    sim.arm_at(static_cast<SimTime>(i) * 2 * kMillisecond,
+               [&] { mp.send(packet_of(sim, 1000)); });
   }
   sim.run();
   EXPECT_TRUE(mp.path_stats(1).down);
@@ -179,8 +179,8 @@ TEST(Multipath, KilledPathDeadDropsInFlightAndTakesNoTraffic) {
   for (int i = 0; i < 20; ++i) mp.send(packet_of(sim, 500));
   // Kill path 1 while its 10 packets are still in flight: they must be
   // discarded at the dead egress and accounted as loss evidence.
-  sim.schedule_at(1 * kMillisecond, [&] { mp.kill_path(1); });
-  sim.schedule_at(50 * kMillisecond, [&] {
+  sim.arm_at(1 * kMillisecond, [&] { mp.kill_path(1); });
+  sim.arm_at(50 * kMillisecond, [&] {
     for (int i = 0; i < 20; ++i) mp.send(packet_of(sim, 500));
   });
   sim.run();
@@ -211,10 +211,10 @@ TEST(Multipath, RevivedPathFailsBackOnlyAfterProbeHysteresis) {
   MultipathScheduler mp(sim, cfg, clean_paths(2), sink, rng);
   mp.kill_path(1);
   for (int i = 0; i < 100; ++i) {
-    sim.schedule_at(static_cast<SimTime>(i) * 5 * kMillisecond,
-                    [&] { mp.send(packet_of(sim, 500)); });
+    sim.arm_at(static_cast<SimTime>(i) * 5 * kMillisecond,
+               [&] { mp.send(packet_of(sim, 500)); });
   }
-  sim.schedule_at(100 * kMillisecond, [&] { mp.revive_path(1); });
+  sim.arm_at(100 * kMillisecond, [&] { mp.revive_path(1); });
   sim.run();
   const auto& p1 = mp.path_stats(1);
   // Revive alone does not restore traffic: 4 consecutive probe
@@ -239,8 +239,8 @@ TEST(Multipath, NoHealthyPathDegradesToBestEffort) {
   paths[0].link.loss_rate = 1.0;
   MultipathScheduler mp(sim, cfg, std::move(paths), sink, rng);
   for (int i = 0; i < 60; ++i) {
-    sim.schedule_at(static_cast<SimTime>(i) * 5 * kMillisecond,
-                    [&] { mp.send(packet_of(sim, 500)); });
+    sim.arm_at(static_cast<SimTime>(i) * 5 * kMillisecond,
+               [&] { mp.send(packet_of(sim, 500)); });
   }
   sim.run();
   // The only path went down, yet sends kept flowing (best-effort): the
@@ -262,8 +262,8 @@ TEST(Multipath, PrivateGilbertElliottLossFeedsEvidence) {
   paths[1].faults = GilbertElliottConfig::with_mean_loss(0.3, 4.0);
   MultipathScheduler mp(sim, cfg, std::move(paths), sink, rng);
   for (int i = 0; i < 200; ++i) {
-    sim.schedule_at(static_cast<SimTime>(i) * kMillisecond,
-                    [&] { mp.send(packet_of(sim, 500)); });
+    sim.arm_at(static_cast<SimTime>(i) * kMillisecond,
+               [&] { mp.send(packet_of(sim, 500)); });
   }
   sim.run();
   const auto& p1 = mp.path_stats(1);
@@ -291,8 +291,8 @@ TEST(MultipathObs, RegistryAndTraceAgreeWithSchedulerStats) {
   paths[1].link.loss_rate = 1.0;
   MultipathScheduler mp(sim, cfg, std::move(paths), sink, rng);
   for (int i = 0; i < 40; ++i) {
-    sim.schedule_at(static_cast<SimTime>(i) * 2 * kMillisecond,
-                    [&] { mp.send(packet_of(sim, 500)); });
+    sim.arm_at(static_cast<SimTime>(i) * 2 * kMillisecond,
+               [&] { mp.send(packet_of(sim, 500)); });
   }
   sim.run();
   for (std::size_t i = 0; i < 2; ++i) {

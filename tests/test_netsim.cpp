@@ -32,9 +32,9 @@ class CollectingSink final : public PacketSink {
 TEST(Simulator, EventsRunInTimeOrder) {
   Simulator sim;
   std::vector<int> order;
-  sim.schedule_at(30, [&] { order.push_back(3); });
-  sim.schedule_at(10, [&] { order.push_back(1); });
-  sim.schedule_at(20, [&] { order.push_back(2); });
+  sim.arm_at(30, [&] { order.push_back(3); });
+  sim.arm_at(10, [&] { order.push_back(1); });
+  sim.arm_at(20, [&] { order.push_back(2); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.now(), 30u);
@@ -44,7 +44,7 @@ TEST(Simulator, SameTimestampIsFifo) {
   Simulator sim;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    sim.schedule_at(100, [&order, i] { order.push_back(i); });
+    sim.arm_at(100, [&order, i] { order.push_back(i); });
   }
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -53,9 +53,9 @@ TEST(Simulator, SameTimestampIsFifo) {
 TEST(Simulator, EventsCanScheduleEvents) {
   Simulator sim;
   int fired = 0;
-  sim.schedule_at(1, [&] {
+  sim.arm_at(1, [&] {
     ++fired;
-    sim.schedule_in(5, [&] { ++fired; });
+    sim.arm_in(5, [&] { ++fired; });
   });
   sim.run();
   EXPECT_EQ(fired, 2);
@@ -65,8 +65,8 @@ TEST(Simulator, EventsCanScheduleEvents) {
 TEST(Simulator, DeadlineStopsExecution) {
   Simulator sim;
   int fired = 0;
-  sim.schedule_at(10, [&] { ++fired; });
-  sim.schedule_at(100, [&] { ++fired; });
+  sim.arm_at(10, [&] { ++fired; });
+  sim.arm_at(100, [&] { ++fired; });
   EXPECT_EQ(sim.run(50), 1u);
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(sim.pending());
@@ -75,8 +75,8 @@ TEST(Simulator, DeadlineStopsExecution) {
 TEST(Simulator, PastSchedulingClampsToNow) {
   Simulator sim;
   SimTime seen = 12345;
-  sim.schedule_at(100, [&] {
-    sim.schedule_at(5, [&] { seen = sim.now(); });  // in the past
+  sim.arm_at(100, [&] {
+    sim.arm_at(5, [&] { seen = sim.now(); });  // in the past
   });
   sim.run();
   EXPECT_EQ(seen, 100u);
@@ -410,7 +410,7 @@ TEST(ChainTopology, RouteFlapCausesReordering) {
   cfg.route_flap_magnitude = 5 * kMillisecond;
   Link link(sim, cfg, sink, rng);
   for (int burst = 0; burst < 50; ++burst) {
-    sim.schedule_at(static_cast<SimTime>(burst) * kMillisecond, [&] {
+    sim.arm_at(static_cast<SimTime>(burst) * kMillisecond, [&] {
       link.send(packet_of(sim, 1000));
     });
   }

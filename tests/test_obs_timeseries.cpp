@@ -122,7 +122,7 @@ TEST(TimeSeries, AttachedSamplerTerminatesWithWorkload) {
 
   // Workload: one event per ms for 5 ms.
   for (int i = 1; i <= 5; ++i) {
-    sim.schedule_in(i * kMillisecond, [&c] { c.add(1); });
+    sim.arm_in(i * kMillisecond, [&c] { c.add(1); });
   }
   attach_sampler(sim, ts);
   sim.run();

@@ -192,7 +192,7 @@ TEST(SimTimerWheel, CancelledTimersLeaveNoFire) {
   SimTimerWheel timers(sim, {kMillisecond});
   bool fired = false;
   const auto id = timers.arm(50 * kMillisecond, [&] { fired = true; });
-  sim.schedule_at(10 * kMillisecond, [&] { timers.cancel(id); });
+  sim.arm_at(10 * kMillisecond, [&] { timers.cancel(id); });
   sim.run();
   EXPECT_FALSE(fired);
 }

@@ -442,7 +442,7 @@ TEST(UdpLoopback, GuardRefusalMemoryBlocksUnknownConnCheaply) {
   // memory); subsequent ones are refused at the door.
   EXPECT_GE(g.refused_conn, 1u);
   EXPECT_GE(g.refusals_remembered, 1u);
-  EXPECT_TRUE(rx.guard().is_refused(999, loop.sim().now()));
+  EXPECT_TRUE(rx.guard().is_refused(999, loop.timers().now()));
   // The receiver itself never saw the refused packets.
   EXPECT_EQ(rx.receiver().stats().packets, 0u);
   EXPECT_EQ(rx.receiver().stats().foreign_chunks, 0u);
