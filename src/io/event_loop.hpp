@@ -4,13 +4,22 @@
 // This is the runtime that moves chunknet off the discrete-event
 // simulator and onto real sockets. The transport stack (sender,
 // receiver, demux) runs unchanged because it is written against the
-// Clock seam (src/common/clock.hpp), and the loop's TimerWheel is a
-// Clock: loop time is nanoseconds since the loop started, read from
-// CLOCK_MONOTONIC through the syscall shim, and each poll iteration
-// advances the wheel to it. A deadline armed on timers() (RTO, gap-NAK,
-// reconnect backoff) therefore fires on real time, and the epoll
-// timeout is computed from the earliest pending deadline so the loop
-// sleeps exactly as long as it may.
+// Clock seam (src/common/runtime.hpp), and the loop hands it one Clock,
+// clock(). Its now() is the loop's current time: nanoseconds since the
+// loop started, read fresh from CLOCK_MONOTONIC through the syscall
+// shim on every call. Its arm_at() arms the loop's TimerWheel, which
+// keeps only deadlines: each poll iteration advances the wheel to the
+// current time, so a deadline (RTO, gap-NAK, reconnect backoff) fires
+// on real time, and the epoll timeout is computed from the earliest
+// pending deadline so the loop sleeps exactly as long as it may.
+//
+// The clock is read fresh, not cached at the last timer pump, because
+// the transport does real work between polls. A sender that spends
+// tens of milliseconds framing and encoding a stream before its first
+// transmission must arm that transmission's RTO from when it actually
+// went out; armed from a stale pump time, the deadline is already due
+// at the next poll and the whole first burst is resent while its ACKs
+// are in flight.
 //
 // Single-threaded by design: every callback (fd readiness, timer,
 // datagram delivery) runs on the thread inside run()/poll_once(). The
@@ -19,6 +28,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/common/flat_map.hpp"
@@ -59,9 +69,13 @@ class EventLoop {
   bool mod_fd(int fd, std::uint32_t events);
   void del_fd(int fd);
 
-  /// The transport-facing clock and deadline service. Its now() is the
-  /// loop time cached at the latest timer pump (poll_once advances it
-  /// before and after each epoll sleep), not a fresh read.
+  /// The transport-facing clock: now() is now() above, and arm_at()
+  /// arms a deadline on timers(). Every io session and the transport
+  /// it drives read time and arm deadlines here.
+  Clock& clock() { return clock_; }
+  /// The deadline store behind clock(). Its own now() is the time of
+  /// the latest pump, which lags the loop between polls: read time
+  /// from clock() instead.
   TimerWheel& timers() { return timers_; }
   SyscallShim& sys() { return *sys_; }
 
@@ -90,12 +104,25 @@ class EventLoop {
   const Stats& stats() const { return stats_; }
 
  private:
+  class LoopClock final : public Clock {
+   public:
+    explicit LoopClock(EventLoop& loop) : loop_(loop) {}
+    SimTime now() const override { return loop_.now(); }
+    void arm_at(SimTime deadline, std::function<void()> cb) override {
+      loop_.timers_.arm(deadline, std::move(cb));
+    }
+
+   private:
+    EventLoop& loop_;
+  };
+
   /// Advances the wheel to now(), firing every due deadline.
   void pump_timers();
 
   SyscallShim* sys_;
   EventLoopConfig cfg_;
   TimerWheel timers_;
+  LoopClock clock_{*this};
   std::uint64_t epoch_ns_{0};
   int epfd_{-1};
   bool stopped_{false};

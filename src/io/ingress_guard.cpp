@@ -12,6 +12,7 @@ IngressGuard::IngressGuard(IngressGuardConfig cfg) : cfg_(cfg) {
     m_.rate_limited = &m.counter("ingress.rate_limited");
     m_.malformed = &m.counter("ingress.malformed");
     m_.refused_conn = &m.counter("ingress.refused_conn");
+    m_.credited = &m.counter("ingress.credited");
   }
 }
 
@@ -33,7 +34,8 @@ IngressGuard::Verdict IngressGuard::screen(const PacketBytes& bytes,
                                            std::vector<ChunkView>& views) {
   views.clear();
 
-  // Screen 1: rate limit, cheapest check first.
+  // Screen 1: rate limit, cheapest check first. Credit allowance pays
+  // instead of a token when it covers the whole datagram.
   Bucket* bucket = buckets_.find(from.key());
   if (bucket == nullptr) {
     if (buckets_.size() < cfg_.max_sources) {
@@ -44,7 +46,11 @@ IngressGuard::Verdict IngressGuard::screen(const PacketBytes& bytes,
       bucket = &overflow_;
     }
   }
-  if (!take_token(*bucket, now)) {
+  if (bucket->allowance != 0 && bucket->allowance >= bytes.size()) {
+    bucket->allowance -= bytes.size();
+    ++stats_.credited;
+    obs_add(m_.credited);
+  } else if (!take_token(*bucket, now)) {
     ++stats_.rate_limited;
     obs_add(m_.rate_limited);
     return Verdict::kRateLimited;
@@ -82,6 +88,12 @@ IngressGuard::Verdict IngressGuard::screen(const PacketBytes& bytes,
   ++stats_.accepted;
   obs_add(m_.accepted);
   return Verdict::kAccept;
+}
+
+void IngressGuard::credit(const UdpAddress& peer, std::uint64_t bytes) {
+  if (Bucket* b = buckets_.find(peer.key()); b != nullptr) {
+    b->allowance += bytes;
+  }
 }
 
 void IngressGuard::remember_refusal(std::uint32_t conn, SimTime now) {

@@ -9,6 +9,15 @@
 //     FlatMap; when full, the guard falls back to a shared overflow
 //     bucket rather than growing without bound (an attacker rotating
 //     source ports must not allocate memory per port).
+//     A source's entry also holds a byte allowance that credit() adds
+//     to: the receiver credits its peer with each increase of the
+//     credit it grants, so a datagram the receiver asked for spends
+//     allowance (its wire size, before decode) instead of a token.
+//     What a credited peer can push past the bucket is therefore
+//     bounded by the bytes its receiver has verified plus one credit
+//     window; envelope overhead, retransmissions beyond the credit and
+//     every uncredited source still pay the bucket, and the overflow
+//     bucket is never credited.
 //  2. Strict envelope decode — decode_packet_views() already rejects
 //     bad magic, truncated headers, and length fields that overrun the
 //     datagram. A datagram that fails here is counted and dropped;
@@ -66,6 +75,12 @@ class IngressGuard {
   Verdict screen(const PacketBytes& bytes, const UdpAddress& from,
                  SimTime now, std::vector<ChunkView>& views);
 
+  /// Adds `bytes` of allowance to `peer`'s bucket entry: that many
+  /// wire bytes from it skip the token bucket. A peer with no entry of
+  /// its own (never screened, or fell to the overflow bucket) gains
+  /// nothing.
+  void credit(const UdpAddress& peer, std::uint64_t bytes);
+
   /// Remembers that the transport refused connection `conn` (unknown /
   /// evicted C.ID): future datagrams carrying only that C.ID are
   /// dropped at the door until the TTL lapses. Bounded: when full, the
@@ -82,6 +97,9 @@ class IngressGuard {
     std::uint64_t empty{0};
     std::uint64_t refused_conn{0};
     std::uint64_t untracked_sources{0};  ///< fell to the overflow bucket
+    /// Paid for with credit allowance instead of a token (whatever
+    /// their verdict after decode).
+    std::uint64_t credited{0};
     std::uint64_t refusals_remembered{0};
     std::uint64_t refusals_evicted{0};
   };
@@ -93,6 +111,7 @@ class IngressGuard {
   struct Bucket {
     double tokens;
     SimTime refilled_at;
+    std::uint64_t allowance{0};  ///< credited wire bytes not yet spent
   };
   struct RefusedEntry {
     SimTime expires_at;
@@ -110,6 +129,7 @@ class IngressGuard {
     Counter* rate_limited{nullptr};
     Counter* malformed{nullptr};
     Counter* refused_conn{nullptr};
+    Counter* credited{nullptr};
   } m_;
 };
 

@@ -312,7 +312,7 @@ void UdpEndpoint::handle_conn_refused() {
 void UdpEndpoint::arm_flush_in(SimTime delay) {
   if (flush_timer_armed_) return;
   flush_timer_armed_ = true;
-  loop_.timers().arm_in(delay, [this] {
+  loop_.clock().arm_in(delay, [this] {
     flush_timer_armed_ = false;
     flush();
   });

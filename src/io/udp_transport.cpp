@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/chunk/codec.hpp"
+#include "src/transport/signalling.hpp"
 
 namespace chunknet {
 
@@ -18,12 +19,11 @@ UdpSenderSession::UdpSenderSession(EventLoop& loop,
 
   SenderConfig sc = std::move(cfg.sender);
   if (sc.obs == nullptr) sc.obs = cfg.obs;
-  if (sc.timers == nullptr) sc.timers = &loop.timers();
   sc.send_packet = [this](PacketBytes bytes) {
     endpoint_->send(std::move(bytes));
   };
   sender_ =
-      std::make_unique<ChunkTransportSender>(loop.timers(), std::move(sc));
+      std::make_unique<ChunkTransportSender>(loop.clock(), std::move(sc));
 
   // Feedback path: ACK/NAK/grant packets from the receiver. The sender
   // decodes the envelope itself; malformed feedback dies in its strict
@@ -70,15 +70,21 @@ UdpReceiverSession::UdpReceiverSession(EventLoop& loop,
 
   ReceiverConfig rc = std::move(cfg_.receiver);
   if (rc.obs == nullptr) rc.obs = cfg_.obs;
-  if (rc.timers == nullptr) rc.timers = &loop.timers();
   rc.send_control = [this](Chunk ctrl) {
     if (!reply_to_.has_value()) return;  // no admitted sender yet
+    // A grant asks the peer for more data: let that much of it past
+    // the guard's token bucket.
+    if (const auto grant = parse_credit_grant(ctrl);
+        grant.has_value() && grant->credit_limit_bytes > credit_granted_) {
+      guard_->credit(*reply_to_, grant->credit_limit_bytes - credit_granted_);
+      credit_granted_ = grant->credit_limit_bytes;
+    }
     PacketBytes body =
         encode_packet(std::span<const Chunk>(&ctrl, 1), 1500);
     endpoint_->send_to(std::move(body), *reply_to_);
   };
   receiver_ =
-      std::make_unique<ChunkTransportReceiver>(loop.timers(), std::move(rc));
+      std::make_unique<ChunkTransportReceiver>(loop.clock(), std::move(rc));
 
   endpoint_->on_datagram([this](PooledBuffer&& buf, const UdpAddress& from) {
     handle_datagram(std::move(buf), from);
@@ -87,7 +93,7 @@ UdpReceiverSession::UdpReceiverSession(EventLoop& loop,
 
 void UdpReceiverSession::handle_datagram(PooledBuffer&& buf,
                                          const UdpAddress& from) {
-  const SimTime now = loop_.timers().now();
+  const SimTime now = loop_.clock().now();
   const IngressGuard::Verdict v =
       guard_->screen(buf.bytes(), from, now, view_scratch_);
   if (v != IngressGuard::Verdict::kAccept) return;  // counted by the guard

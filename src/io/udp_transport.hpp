@@ -1,6 +1,6 @@
 // Chunk transport over a real UDP socket: the glue that runs
 // ChunkTransportSender / ChunkTransportReceiver on an EventLoop (whose
-// timer wheel is their clock) and a UdpEndpoint.
+// clock() is their clock) and a UdpEndpoint.
 //
 // A session owns the endpoint, wires the transport's send_packet /
 // send_control callbacks into the endpoint's TX queue, and feeds
@@ -8,7 +8,10 @@
 // an IngressGuard first (rate limit, strict decode, refusal memory)
 // and then hands each ChunkView straight to on_chunk_view — the
 // zero-copy ingest path, with the pooled buffer held alive across the
-// views that point into it.
+// views that point into it. Every CreditGrant the receiver sends
+// credits the guard with the grant's increase, so a flow-controlled
+// peer is paced by the credit its receiver grants, not by the guard's
+// per-source token bucket.
 //
 // Shutdown is truthful: drain() flushes what it can until a deadline
 // and then reports exactly what was abandoned — TPDUs the sender gave
@@ -45,8 +48,9 @@ struct UdpSenderSessionConfig {
   UdpAddress peer{};
   /// Local bind (default: ephemeral loopback).
   UdpAddress bind{};
-  /// Transport configuration. send_packet and (unless set) timers are
-  /// provided by the session; everything else is the caller's.
+  /// Transport configuration. send_packet and (unless `timers` is set)
+  /// the clock, the loop's clock(), are provided by the session;
+  /// everything else is the caller's.
   SenderConfig sender{};
   /// Endpoint tuning (peer/bind/obs are overwritten by the session).
   UdpEndpointConfig endpoint{};
@@ -85,8 +89,8 @@ struct UdpReceiverSessionConfig {
   /// Where to listen. Required (a receiver with an ephemeral port is
   /// fine for tests; read it back via endpoint().local_addr()).
   UdpAddress bind{};
-  /// Transport configuration. send_control and (unless set) timers are
-  /// provided by the session.
+  /// Transport configuration. send_control and (unless `timers` is set)
+  /// the clock, the loop's clock(), are provided by the session.
   ReceiverConfig receiver{};
   UdpEndpointConfig endpoint{};
   IngressGuardConfig guard{};
@@ -125,6 +129,9 @@ class UdpReceiverSession {
   std::optional<UdpAddress> reply_to_;
   /// Trace packet id: admitted datagrams of this session, counted.
   std::uint64_t rx_datagrams_{0};
+  /// Highest credit limit granted so far; each grant credits the guard
+  /// with its increase over this.
+  std::uint64_t credit_granted_{0};
 };
 
 }  // namespace chunknet

@@ -1,6 +1,7 @@
 // EventLoop on real time: timers armed on the loop's wheel fire on
-// CLOCK_MONOTONIC, the epoll sleep tracks the earliest deadline, an
-// interrupted epoll_wait is a retry, and a failed one is counted.
+// CLOCK_MONOTONIC, the transport clock reads current time, the epoll
+// sleep tracks the earliest deadline, an interrupted epoll_wait is a
+// retry, and a failed one is counted.
 #include <gtest/gtest.h>
 
 #include <sys/epoll.h>
@@ -30,10 +31,10 @@ TEST(IoLoop, TimerFiresOnRealTime) {
 
 TEST(IoLoop, TransportClockTracksWallClock) {
   EventLoop loop;
-  // The clock the transport reads is the loop time cached at each
-  // timer pump: it moves with the wall clock even when nothing is
-  // armed, and never runs ahead of a fresh read.
-  Clock& clock = loop.timers();
+  // The clock the transport reads is the loop's current time: it moves
+  // with the wall clock even when nothing is armed, never runs ahead of
+  // a fresh read, and does not wait for a poll to move.
+  Clock& clock = loop.clock();
   SimTime prev = clock.now();
   for (int i = 0; i < 3; ++i) {
     loop.poll_once(2 * kMillisecond);
@@ -42,6 +43,10 @@ TEST(IoLoop, TransportClockTracksWallClock) {
     EXPECT_LE(t, loop.now());
     prev = t;
   }
+  const SimTime before = clock.now();
+  while (loop.now() == before) {
+  }
+  EXPECT_GT(clock.now(), before);
 }
 
 TEST(IoLoop, TimerOrderingPreserved) {

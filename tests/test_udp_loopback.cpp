@@ -1,8 +1,9 @@
 // End-to-end chunk transport over real loopback UDP sockets: bit-exact
 // delivery, survival of injected syscall faults, mid-transfer receiver
-// restart, truthful drain accounting, and the ingress guard's hostile-
-// input screens. Everything runs on one EventLoop in one process —
-// two sockets, real datagrams, real epoll.
+// restart, truthful drain accounting, the ingress guard's hostile-
+// input screens and its credit path, and RTOs armed on current time.
+// Everything runs on one EventLoop in one process — two sockets, real
+// datagrams, real epoll.
 #include <gtest/gtest.h>
 
 #include <errno.h>
@@ -446,6 +447,116 @@ TEST(UdpLoopback, GuardRefusalMemoryBlocksUnknownConnCheaply) {
   // The receiver itself never saw the refused packets.
   EXPECT_EQ(rx.receiver().stats().packets, 0u);
   EXPECT_EQ(rx.receiver().stats().foreign_chunks, 0u);
+}
+
+// A flow-controlled peer is paced by the credit its receiver grants,
+// not by the guard's per-source token bucket: a bucket far too slow for
+// the stream's datagram count still lets the whole transfer through,
+// with no datagram refused and nothing resent.
+TEST(UdpLoopback, CreditPacesAPeerPastASlowGuard) {
+  EventLoop loop;
+  const auto stream = pattern(256 * 1024);
+  const std::size_t tpdu_bytes = std::size_t{kTpduElems} * kElem;
+
+  UdpReceiverSessionConfig rcfg;
+  rcfg.bind = UdpAddress{0x7f000001, 0};
+  rcfg.receiver = fast_receiver_config(stream.size());
+  rcfg.receiver.grant_credit = true;
+  rcfg.receiver.credit_window_bytes = 64 * 1024;
+  // 100 datagrams/s: uncredited, the stream's 256+ datagrams would be
+  // refused by the hundred and recovered only by RTO.
+  rcfg.guard.rate_per_sec = 100.0;
+  // The burst pays for what credit does not:
+  //  - the bootstrap: datagrams sent on the sender's initial credit
+  //    before the first grant arrives. initial_tpdu_slots caps it at 2
+  //    TPDUs, each one datagram here (1 KiB of payload under a 1400 B
+  //    MTU), so 2 datagrams.
+  //  - envelope overhead: grants count payload bytes, datagrams are
+  //    charged wire bytes. Chunk headers and the envelope add under a
+  //    fifth to each 1 KiB of payload, so under 52 KiB over the whole
+  //    stream. Every grant credits the payload received so far plus a
+  //    64 KiB window, so the allowance runs a window ahead of the
+  //    payload; the overhead never uses up that lead, and none of it
+  //    reaches the bucket.
+  // 8 covers both with room to spare, and is still far below 256.
+  rcfg.guard.burst = 8.0;
+  UdpReceiverSession rx(loop, rcfg);
+  ASSERT_TRUE(rx.ok());
+
+  UdpSenderSessionConfig scfg;
+  scfg.peer = rx.endpoint().local_addr();
+  scfg.sender = fast_sender_config();
+  scfg.sender.flow.enabled = true;
+  // Loaded hosts must not turn a slow ACK into a resend.
+  scfg.sender.retransmit_timeout = 250 * kMillisecond;
+  UdpSenderSession tx(loop, scfg);
+  ASSERT_TRUE(tx.ok());
+
+  tx.send_stream(stream);
+  ASSERT_TRUE(rx.run_until_complete(stream.size() / kElem,
+                                    loop.now() + 20 * kSecond));
+  const DrainReport r = tx.drain(loop.now() + 10 * kSecond);
+  EXPECT_TRUE(r.clean);
+  EXPECT_EQ(r.tpdus_acked, stream.size() / tpdu_bytes);
+
+  const auto got = rx.receiver().app_data();
+  ASSERT_EQ(got.size(), stream.size());
+  EXPECT_TRUE(std::equal(stream.begin(), stream.end(), got.begin()));
+
+  const auto& g = rx.guard().stats();
+  EXPECT_EQ(g.rate_limited, 0u);
+  EXPECT_EQ(tx.sender().stats().retransmissions, 0u);
+  // Almost every datagram was paid for with credit, not a token.
+  EXPECT_GE(g.credited, tx.sender().stats().packets_sent - 8);
+}
+
+// The real shim with a CLOCK_MONOTONIC the test can step forward: time
+// passes with no poll in between, as it does while a sender frames and
+// encodes a large stream before its first transmission.
+class SteppedClockSyscalls final : public SyscallShim {
+ public:
+  void step(SimTime by) { offset_ += by; }
+  std::uint64_t sys_monotonic_ns() override {
+    return SyscallShim::sys_monotonic_ns() + offset_;
+  }
+
+ private:
+  std::uint64_t offset_{0};
+};
+
+// An RTO is armed from when its TPDU actually went out. Armed from the
+// time of the loop's last timer pump instead, the first burst's
+// deadlines are already due at the next poll and every TPDU is resent
+// while its ACK is in flight.
+TEST(UdpLoopback, RtoArmedOnCurrentTimeAfterASlowStart) {
+  SteppedClockSyscalls sys;
+  EventLoopConfig lc;
+  lc.sys = &sys;
+  EventLoop loop(lc);
+  const auto stream = pattern(64 * 1024);
+
+  UdpReceiverSessionConfig rcfg;
+  rcfg.bind = UdpAddress{0x7f000001, 0};
+  rcfg.receiver = fast_receiver_config(stream.size());
+  UdpReceiverSession rx(loop, rcfg);
+  ASSERT_TRUE(rx.ok());
+
+  UdpSenderSessionConfig scfg;
+  scfg.peer = rx.endpoint().local_addr();
+  scfg.sender = fast_sender_config();
+  scfg.sender.retransmit_timeout = 250 * kMillisecond;
+  UdpSenderSession tx(loop, scfg);
+  ASSERT_TRUE(tx.ok());
+
+  sys.step(4 * scfg.sender.retransmit_timeout);
+  tx.send_stream(stream);
+  ASSERT_TRUE(rx.run_until_complete(stream.size() / kElem,
+                                    loop.now() + 10 * kSecond));
+  ASSERT_TRUE(tx.run_until_finished(loop.now() + 10 * kSecond));
+
+  EXPECT_TRUE(tx.sender().all_acked());
+  EXPECT_EQ(tx.sender().stats().retransmissions, 0u);
+  EXPECT_EQ(rx.receiver().stats().duplicate_chunks, 0u);
 }
 
 }  // namespace
