@@ -1,5 +1,8 @@
 // The chaos harness: runs one ChaosScenario end-to-end and checks the
-// five robustness oracles.
+// seven robustness oracles. Every scenario runs through one pipeline:
+// its senders share a forward path into one ChunkDemultiplexer, which
+// routes each chunk to its connection's receiver by C.ID; a single
+// connection is the simplest case of it (the paper's Appendix A).
 //
 //   1. Truthful delivery — every TPDU the receiver reported accepted
 //      has exactly the sender's bytes in application memory, and every
@@ -9,8 +12,11 @@
 //      out-of-buffer, dropped-unplaced, or still held — and the same
 //      numbers come back from the metrics registry.
 //   3. No held-state leak — after quiescence (and after aborting the
-//      TPDUs the sender gave up on) the receiver holds zero bytes, an
-//      empty reorder queue, and no unfinished TPDU state.
+//      TPDUs the sender gave up on) each receiver holds zero bytes, an
+//      empty reorder queue, and no unfinished TPDU state. In clean
+//      scenarios that are not overloaded, no unfinished TPDU may even
+//      be left to abort; churn runs also leave no stale flow or
+//      refusal in the connection table.
 //   4. No livelock — the event queue drains before the watchdog
 //      deadline and retransmission work is bounded by the configured
 //      retry budget.
@@ -18,7 +24,7 @@
 //      reject a TPDU (WSC-2 over the fragmentation-invariant layout is
 //      exact across arbitrary re-enveloping chains); corrupting
 //      scenarios fall back to oracle 1 for no-false-accept.
-//   6. Overload fairness — multi-connection scenarios only: governed
+//   6. Overload fairness — overloaded scenarios only: governed
 //      memory (receiver held-state charged to the ResourceGovernor)
 //      never exceeds the hard watermark (checked via charged_peak),
 //      drains to zero at quiescence, admission accounting closes
@@ -55,7 +61,11 @@ struct ChaosResult {
   std::uint64_t acks_resent{0};
   SimTime sim_end{0};
 
-  // Overload-path summary (zero on the single-connection path).
+  // Admission and governor summary. connections_admitted is the
+  // demultiplexer's admission count when a governor runs (churn
+  // included), else the number of connections attached: 1 for a
+  // one-connection scenario. The governor_* fields stay zero without
+  // a governor.
   std::uint64_t connections_admitted{0};
   std::uint64_t connections_refused{0};
   std::uint64_t governor_charged_peak{0};
@@ -94,7 +104,8 @@ struct ChaosCapture {
 };
 
 /// Runs the scenario to quiescence (or the watchdog) and evaluates the
-/// oracles (1–5 always; 6 on the multi-connection overload path).
+/// oracles, per connection and in aggregate: 1–5 always, 6 when the
+/// scenario is overloaded(), 7 when it is multipath().
 /// Deterministic: the same scenario always returns the same result.
 ChaosResult run_chaos(const ChaosScenario& sc);
 

@@ -122,9 +122,10 @@ struct ChaosScenario {
   // MultipathScheduler spraying across `mp_paths` copies of hop 0,
   // each at rate/mp_paths with `i * mp_skew` extra propagation delay
   // and an optional private Gilbert–Elliott loss process, plus an
-  // optional mid-run administrative path kill (and revival). Only
-  // drawn into single-connection runs; checked by oracle 7 (no
-  // stranded packets on a dead path).
+  // optional mid-run administrative path kill (and revival). The
+  // generator draws it only into runs that are not overloaded, but the
+  // harness runs it with any number of connections; checked by oracle
+  // 7 (no stranded packets on a dead path).
   std::uint32_t mp_paths{0};   ///< 0/1 = off; >= 2 sprays hop 0
   std::uint8_t mp_mode{0};     ///< SprayMode numeric value
   SimTime mp_skew{0};          ///< extra prop delay per path index
@@ -150,9 +151,12 @@ struct ChaosScenario {
   /// (oracle 5: no false rejects across arbitrary re-enveloping).
   bool corrupts_anything() const;
 
-  /// True when the run takes the multi-connection overload path
-  /// (demux + governor + optional flow control) instead of the
-  /// single-connection pipeline.
+  /// True when the scenario contends for shared resources: several
+  /// connections, a governor, credit flow control, or churn. Every
+  /// scenario runs the same demultiplexer pipeline; this flag only
+  /// steers the generator and the minimizer, gives each connection its
+  /// own stream seed, relaxes oracle 3's no-leftover check and turns
+  /// on oracle 6.
   bool overloaded() const {
     return connections > 1 || governor_budget != 0 || flow_control ||
            churn_connections > 0;

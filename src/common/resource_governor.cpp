@@ -201,7 +201,7 @@ std::uint64_t ResourceGovernor::shed_until_goal(
     }
     if (cfg_.obs != nullptr && cfg_.obs->spans != nullptr) {
       SpanEvent e;
-      e.t = cfg_.now ? cfg_.now() : 0;
+      e.t = cfg_.clock != nullptr ? cfg_.clock->now() : 0;
       e.kind = SpanEventKind::kGovernorShed;
       e.connection_id = victim_id;
       e.aux = freed;

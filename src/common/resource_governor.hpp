@@ -34,6 +34,7 @@
 #include <mutex>
 #include <string>
 
+#include "src/common/runtime.hpp"
 #include "src/obs/obs.hpp"
 
 namespace chunknet {
@@ -56,9 +57,10 @@ struct GovernorConfig {
   std::uint64_t hard_watermark_bytes{1024 * 1024};
   ShedPolicy policy{ShedPolicy::kLargestHolderFirst};
   ObsContext* obs{nullptr};
-  /// Clock for span timestamps (the governor itself has no simulator
-  /// dependency); null = spans are stamped 0.
-  std::function<std::uint64_t()> now;
+  /// Clock for span timestamps, the same one the transport reads, so a
+  /// shed span lines up with the TPDU spans around it; null = spans are
+  /// stamped 0.
+  const Clock* clock{nullptr};
 };
 
 class ResourceGovernor {

@@ -1,6 +1,5 @@
 #include "src/obs/spans.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <set>
 
@@ -35,44 +34,6 @@ std::optional<SpanEventKind> span_event_kind_from_string(
     if (s == kKindNames[i]) return static_cast<SpanEventKind>(i);
   }
   return std::nullopt;
-}
-
-SpanRecorder::SpanRecorder(std::size_t capacity)
-    : ring_(std::max<std::size_t>(capacity, 1)) {}
-
-void SpanRecorder::record(const SpanEvent& e) noexcept {
-  lock();
-  ring_[next_ % ring_.size()] = e;
-  ++next_;
-  unlock();
-}
-
-std::vector<SpanEvent> SpanRecorder::events() const {
-  lock();
-  std::vector<SpanEvent> out;
-  const std::size_t cap = ring_.size();
-  const std::uint64_t kept = std::min<std::uint64_t>(next_, cap);
-  out.reserve(kept);
-  for (std::uint64_t i = next_ - kept; i < next_; ++i) {
-    out.push_back(ring_[i % cap]);
-  }
-  unlock();
-  return out;
-}
-
-std::uint64_t SpanRecorder::recorded() const noexcept {
-  lock();
-  const std::uint64_t n = next_;
-  unlock();
-  return n;
-}
-
-std::uint64_t SpanRecorder::dropped() const noexcept {
-  lock();
-  const std::uint64_t n = next_;
-  const std::size_t cap = ring_.size();
-  unlock();
-  return n > cap ? n - cap : 0;
 }
 
 std::string spans_to_json(const SpanRecorder& spans) {

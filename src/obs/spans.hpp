@@ -3,18 +3,19 @@
 // data path did* (per chunk, per packet), the SpanRecorder records the
 // *control-plane story per connection*: open -> admission -> credit
 // grants -> TPDU framed -> delivered / evicted / refused. Events live
-// in the same bounded-ring discipline as ChunkTracer (O(1) record under
-// a spinlock, oldest overwritten), and spans_to_chrome_json() exports
-// them as Chrome trace-event JSON that loads directly in Perfetto /
-// chrome://tracing with one track (pid) per connection.
+// in the same bounded ring as ChunkTracer's (event_ring.hpp), and
+// spans_to_chrome_json() exports them as Chrome trace-event JSON that
+// loads directly in Perfetto / chrome://tracing with one track (pid)
+// per connection.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "src/obs/event_ring.hpp"
 
 namespace chunknet {
 
@@ -57,32 +58,12 @@ struct SpanEvent {
   SpanEventKind kind{SpanEventKind::kConnOpenSeen};
 };
 
-/// Bounded ring of span events; same recording contract as ChunkTracer
-/// (O(1) under a spinlock, oldest overwritten when full, safe from
-/// parallel pipeline workers).
-class SpanRecorder {
+/// Span events in an EventRing (event_ring.hpp), the same recording
+/// contract as ChunkTracer.
+class SpanRecorder : public EventRing<SpanEvent> {
  public:
-  explicit SpanRecorder(std::size_t capacity = 1 << 14);
-
-  void record(const SpanEvent& e) noexcept;
-
-  /// Retained events in record order (oldest first).
-  std::vector<SpanEvent> events() const;
-
-  std::uint64_t recorded() const noexcept;  ///< total record() calls
-  std::uint64_t dropped() const noexcept;   ///< overwritten by wrap
-  std::size_t capacity() const noexcept { return ring_.size(); }
-
- private:
-  void lock() const noexcept {
-    while (lock_.test_and_set(std::memory_order_acquire)) {
-    }
-  }
-  void unlock() const noexcept { lock_.clear(std::memory_order_release); }
-
-  mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
-  std::vector<SpanEvent> ring_;
-  std::uint64_t next_{0};
+  explicit SpanRecorder(std::size_t capacity = 1 << 14)
+      : EventRing(capacity) {}
 };
 
 /// Plain JSON export, symmetric with trace_to_json: {"recorded": N,

@@ -1,6 +1,5 @@
 #include "src/obs/trace.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "src/obs/json.hpp"
@@ -36,44 +35,6 @@ std::optional<TraceEventKind> trace_event_kind_from_string(
     if (s == kKindNames[i]) return static_cast<TraceEventKind>(i);
   }
   return std::nullopt;
-}
-
-ChunkTracer::ChunkTracer(std::size_t capacity)
-    : ring_(std::max<std::size_t>(capacity, 1)) {}
-
-void ChunkTracer::record(const TraceEvent& e) noexcept {
-  lock();
-  ring_[next_ % ring_.size()] = e;
-  ++next_;
-  unlock();
-}
-
-std::vector<TraceEvent> ChunkTracer::events() const {
-  lock();
-  std::vector<TraceEvent> out;
-  const std::size_t cap = ring_.size();
-  const std::uint64_t kept = std::min<std::uint64_t>(next_, cap);
-  out.reserve(kept);
-  for (std::uint64_t i = next_ - kept; i < next_; ++i) {
-    out.push_back(ring_[i % cap]);
-  }
-  unlock();
-  return out;
-}
-
-std::uint64_t ChunkTracer::recorded() const noexcept {
-  lock();
-  const std::uint64_t n = next_;
-  unlock();
-  return n;
-}
-
-std::uint64_t ChunkTracer::dropped() const noexcept {
-  lock();
-  const std::uint64_t n = next_;
-  const std::size_t cap = ring_.size();
-  unlock();
-  return n > cap ? n - cap : 0;
 }
 
 std::string trace_to_json(const ChunkTracer& tracer) {

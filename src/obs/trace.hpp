@@ -1,18 +1,17 @@
-// Chunk-lifecycle tracing: a bounded ring of timestamped events keyed
-// by SimPacket::id (packet-level events) and (tpdu_id, C.SN)
-// (chunk-level events). Recording is O(1) — a slot write under a
-// spinlock — and when the ring is full the oldest events are
-// overwritten, so a tracer can stay attached to a long run and always
-// hold the most recent window. tools/obs_report turns the exported
-// JSON into per-hop latency breakdowns and drop/reorder attribution.
+// Chunk-lifecycle tracing: a bounded ring (event_ring.hpp) of
+// timestamped events keyed by SimPacket::id (packet-level events) and
+// (tpdu_id, C.SN) (chunk-level events). The ring keeps the most recent
+// window of a long run. tools/obs_report turns the exported JSON into
+// per-hop latency breakdowns and drop/reorder attribution.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "src/obs/event_ring.hpp"
 
 namespace chunknet {
 
@@ -68,31 +67,11 @@ struct TraceEvent {
   TraceEventKind kind{TraceEventKind::kChunkBuilt};
 };
 
-class ChunkTracer {
+/// Chunk-lifecycle events in an EventRing (event_ring.hpp).
+class ChunkTracer : public EventRing<TraceEvent> {
  public:
-  explicit ChunkTracer(std::size_t capacity = 1 << 16);
-
-  /// O(1); overwrites the oldest event once the ring is full. Safe to
-  /// call from parallel pipeline workers.
-  void record(const TraceEvent& e) noexcept;
-
-  /// Retained events in record order (oldest first).
-  std::vector<TraceEvent> events() const;
-
-  std::uint64_t recorded() const noexcept;  ///< total record() calls
-  std::uint64_t dropped() const noexcept;   ///< overwritten by wrap
-  std::size_t capacity() const noexcept { return ring_.size(); }
-
- private:
-  void lock() const noexcept {
-    while (lock_.test_and_set(std::memory_order_acquire)) {
-    }
-  }
-  void unlock() const noexcept { lock_.clear(std::memory_order_release); }
-
-  mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
-  std::vector<TraceEvent> ring_;
-  std::uint64_t next_{0};
+  explicit ChunkTracer(std::size_t capacity = 1 << 16)
+      : EventRing(capacity) {}
 };
 
 /// {"recorded": N, "dropped": D, "events": [{t, kind, site, pkt, tpdu,

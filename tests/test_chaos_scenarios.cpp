@@ -3,8 +3,15 @@
 // must be caught), scenario-text round-trips, and the minimizer.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "src/chaos/harness.hpp"
 #include "src/chaos/scenario.hpp"
+
+#ifndef CHUNKNET_SOURCE_DIR
+#error "CHUNKNET_SOURCE_DIR must point at the repository root"
+#endif
 
 namespace chunknet {
 namespace {
@@ -102,6 +109,25 @@ TEST(ChaosScenario, ConnectionChurnRunHoldsEveryOracle) {
   EXPECT_GT(r.connections_refused, 0u);
 }
 
+TEST(ChaosScenario, OfferedLoadAppliesWithOneConnection) {
+  // One connection runs through the same demultiplexer pipeline as
+  // many, so the offered-load multiplier slows its first hop too.
+  ChaosScenario sc;
+  sc.seed = 31;
+  sc.stream_elements = 16384;   // 64 KiB on an 8 Mb/s first hop: the
+  sc.hops[0].rate_bps = 8e6;    // run's length is serialization time
+  ASSERT_FALSE(sc.overloaded());
+  const ChaosResult base = run_chaos(sc);
+  sc.offered_load = 4.0;
+  ASSERT_FALSE(sc.overloaded());
+  const ChaosResult slowed = run_chaos(sc);
+  EXPECT_TRUE(base.ok) << (base.failures.empty() ? "?" : base.failures.front());
+  EXPECT_TRUE(slowed.ok)
+      << (slowed.failures.empty() ? "?" : slowed.failures.front());
+  EXPECT_EQ(base.connections_admitted, 1u);
+  EXPECT_GT(slowed.sim_end, base.sim_end);
+}
+
 TEST(ChaosMultipath, DrawnOnlyIntoSingleConnectionRuns) {
   int multipath = 0;
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
@@ -164,6 +190,35 @@ TEST(ChaosMultipath, KillWithoutReviveStillHoldsEveryOracle) {
   EXPECT_TRUE(r.ok) << (r.failures.empty() ? "?" : r.failures.front());
   EXPECT_GE(r.mp_failovers, 1u);
   EXPECT_EQ(r.mp_failbacks, 0u);  // nothing ever proved the dead path
+  EXPECT_GT(r.tpdus_accepted, 0u);
+}
+
+TEST(ChaosMultipath, OverloadedSprayedRunHoldsEveryOracle) {
+  // Multipath and overload together, a pairing the generator never
+  // draws: three credit-paced connections under one governor share a
+  // plane of three sprayed paths, one of which dies mid-transfer and
+  // later comes back.
+  ChaosScenario sc;
+  sc.seed = 4246;
+  sc.mode = DeliveryMode::kReassemble;
+  sc.stream_elements = 16384;        // 64 KiB per connection so the
+  sc.hops[0].rate_bps = 8e6;         // transfers span the kill window
+  sc.connections = 3;
+  sc.governor_budget = 96 * 1024;
+  sc.flow_control = true;
+  sc.mp_paths = 3;
+  sc.mp_mode = 0;  // per-packet spray
+  sc.mp_skew = 1 * kMillisecond;
+  sc.mp_kill_at = 60 * kMillisecond;
+  sc.mp_kill_path = 2;
+  sc.mp_revive_at = 250 * kMillisecond;
+  sc.max_retransmits = 16;
+  ASSERT_TRUE(sc.overloaded());
+  ASSERT_TRUE(sc.multipath());
+  const ChaosResult r = run_chaos(sc);
+  EXPECT_TRUE(r.ok) << (r.failures.empty() ? "?" : r.failures.front());
+  EXPECT_EQ(r.connections_admitted, 3u);
+  EXPECT_GE(r.mp_failovers, 1u);
   EXPECT_GT(r.tpdus_accepted, 0u);
 }
 
@@ -250,6 +305,28 @@ TEST(ChaosOracles, CatchUnsafeHeaderCorruptionWithImmediateDelivery) {
   // The same scenario under reassemble-first delivery is safe: held
   // data is only placed after the TPDU passes all three Table-1 checks.
   ChaosScenario safe = sc;
+  safe.mode = DeliveryMode::kReassemble;
+  const ChaosResult rs = run_chaos(safe);
+  EXPECT_TRUE(rs.ok) << (rs.failures.empty() ? "" : rs.failures.front());
+}
+
+TEST(ChaosOracles, CheckedInUnsafeReproTripsTruthfulDelivery) {
+  // tests/chaos_repros/unsafe_immediate_header_corruption.txt is the
+  // text form of the fixture above; it must keep failing oracle 1 and
+  // keep passing under reassemble-first delivery.
+  const std::string path = std::string(CHUNKNET_SOURCE_DIR) +
+      "/tests/chaos_repros/unsafe_immediate_header_corruption.txt";
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "cannot open " << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  const auto sc = parse_scenario_text(text.str());
+  ASSERT_TRUE(sc.has_value()) << path;
+  const ChaosResult r = run_chaos(*sc);
+  ASSERT_FALSE(r.ok);
+  EXPECT_EQ(r.failures.front().rfind("oracle-1", 0), 0u) << r.failures.front();
+
+  ChaosScenario safe = *sc;
   safe.mode = DeliveryMode::kReassemble;
   const ChaosResult rs = run_chaos(safe);
   EXPECT_TRUE(rs.ok) << (rs.failures.empty() ? "" : rs.failures.front());
