@@ -183,11 +183,12 @@ namespace {
 // so the buffer is sized ONCE and every chunk header lands via raw
 // big-endian stores — no per-byte push_back bounds churn. ~2x faster
 // than the ByteWriter loop on multi-chunk packets (bench E10.hdr).
-template <typename Buffer>
-bool encode_packet_into_impl(std::span<const Chunk> chunks,
+template <typename ChunkT, typename Buffer>
+bool encode_packet_into_impl(std::span<const ChunkT> chunks,
                              std::size_t capacity, Buffer& out) {
   out.clear();
-  const std::size_t body = packed_size(chunks);
+  std::size_t body = kPacketHeaderBytes;
+  for (const ChunkT& c : chunks) body += c.wire_size();
   if (body > capacity) return false;
   const bool terminator = body < capacity;
   const std::size_t total = body + (terminator ? 1 : 0);
@@ -201,7 +202,7 @@ bool encode_packet_into_impl(std::span<const Chunk> chunks,
   p[1] = kPacketVersion;
   store_be16(p + 2, static_cast<std::uint16_t>(total - kPacketHeaderBytes));
   p += kPacketHeaderBytes;
-  for (const Chunk& c : chunks) {
+  for (const ChunkT& c : chunks) {
     store_chunk_header(p, c.h);
     if (!c.payload.empty()) {
       std::memcpy(p + kChunkHeaderBytes, c.payload.data(), c.payload.size());
@@ -221,6 +222,11 @@ bool encode_packet_into(std::span<const Chunk> chunks, std::size_t capacity,
 
 bool encode_packet_into(std::span<const Chunk> chunks, std::size_t capacity,
                         PacketBytes& out) {
+  return encode_packet_into_impl(chunks, capacity, out);
+}
+
+bool encode_packet_into(std::span<const ChunkView> chunks,
+                        std::size_t capacity, std::vector<std::uint8_t>& out) {
   return encode_packet_into_impl(chunks, capacity, out);
 }
 

@@ -78,6 +78,10 @@ bool encode_packet_into(std::span<const Chunk> chunks, std::size_t capacity,
 bool encode_packet_into(std::span<const Chunk> chunks, std::size_t capacity,
                         PacketBytes& out);
 
+/// Same, from views (packetize's one payload copy).
+bool encode_packet_into(std::span<const ChunkView> chunks,
+                        std::size_t capacity, std::vector<std::uint8_t>& out);
+
 /// Raw batched header stores/loads: the 34-byte canonical chunk header
 /// written/read directly at `p` (caller guarantees the bounds). These
 /// are the per-chunk primitives the batched packet encode/decode and

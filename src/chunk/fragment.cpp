@@ -7,30 +7,8 @@
 namespace chunknet {
 
 std::pair<Chunk, Chunk> split_chunk(const Chunk& c, std::uint16_t head_len) {
-  assert(c.structurally_valid());
-  assert(head_len > 0 && head_len < c.h.len);
-
-  const std::size_t cut = static_cast<std::size_t>(head_len) * c.h.size;
-
-  Chunk a;
-  a.h = c.h;  // TYPE, SIZE, all IDs, all SNs copied
-  a.h.len = head_len;
-  a.h.conn.st = false;  // "no ST bits are set in any other chunk"
-  a.h.tpdu.st = false;
-  a.h.xpdu.st = false;
-  a.payload.assign(c.payload.begin(),
-                   c.payload.begin() + static_cast<std::ptrdiff_t>(cut));
-
-  Chunk b;
-  b.h = c.h;  // ST bits of the original land on the tail
-  b.h.len = static_cast<std::uint16_t>(c.h.len - head_len);
-  b.h.conn.sn = c.h.conn.sn + head_len;  // SNs advance in lock-step
-  b.h.tpdu.sn = c.h.tpdu.sn + head_len;
-  b.h.xpdu.sn = c.h.xpdu.sn + head_len;
-  b.payload.assign(c.payload.begin() + static_cast<std::ptrdiff_t>(cut),
-                   c.payload.end());
-
-  return {std::move(a), std::move(b)};
+  auto [a, b] = split_view(as_view(c), head_len);
+  return {a.to_chunk(), b.to_chunk()};
 }
 
 std::pair<ChunkView, ChunkView> split_view(const ChunkView& v,
@@ -59,39 +37,23 @@ std::pair<ChunkView, ChunkView> split_view(const ChunkView& v,
   return {a, b};
 }
 
-namespace {
-
-std::uint16_t header_elements_that_fit(const ChunkHeader& h,
-                                       std::size_t budget_bytes) {
+std::uint16_t elements_that_fit(const ChunkView& v, std::size_t budget_bytes) {
   if (budget_bytes <= kChunkHeaderBytes) return 0;
   const std::size_t room = budget_bytes - kChunkHeaderBytes;
-  const std::size_t n = room / h.size;
+  const std::size_t n = room / v.h.size;
   if (n == 0) return 0;
-  return static_cast<std::uint16_t>(n < h.len ? n : h.len);
+  return static_cast<std::uint16_t>(n < v.h.len ? n : v.h.len);
 }
-
-}  // namespace
 
 std::uint16_t elements_that_fit(const Chunk& c, std::size_t budget_bytes) {
-  return header_elements_that_fit(c.h, budget_bytes);
-}
-
-std::uint16_t elements_that_fit(const ChunkView& v, std::size_t budget_bytes) {
-  return header_elements_that_fit(v.h, budget_bytes);
+  return elements_that_fit(as_view(c), budget_bytes);
 }
 
 std::vector<Chunk> split_to_fit(const Chunk& c, std::size_t max_wire_bytes) {
-  if (c.wire_size() <= max_wire_bytes) return {c};
-  const std::uint16_t per = elements_that_fit(c, max_wire_bytes);
-  if (per == 0) return {};
   std::vector<Chunk> out;
-  Chunk rest = c;
-  while (rest.h.len > per) {
-    auto [head, tail] = split_chunk(rest, per);
-    out.push_back(std::move(head));
-    rest = std::move(tail);
+  for (const ChunkView& v : split_view_to_fit(as_view(c), max_wire_bytes)) {
+    out.push_back(v.to_chunk());
   }
-  out.push_back(std::move(rest));
   return out;
 }
 

@@ -22,16 +22,15 @@
 
 namespace chunknet {
 
-/// Splits `c` after `head_len` data elements (Appendix C).
-/// Preconditions: c is a structurally valid data-bearing chunk and
-/// 0 < head_len < c.h.len.
+/// Splits `c` after `head_len` data elements (Appendix C): split_view,
+/// then each half copied out. Preconditions: c is a structurally valid
+/// data-bearing chunk and 0 < head_len < c.h.len.
 std::pair<Chunk, Chunk> split_chunk(const Chunk& c, std::uint16_t head_len);
 
-/// The same Appendix-C split on a non-owning view: all header
-/// manipulation (SN advance, ST bit placement) is identical to
-/// `split_chunk`, but the payload halves are SUBSPANS of the original
-/// — no payload byte moves. This is what makes splitting free on the
-/// gather-encode transmit path: fragmentation is header math.
+/// The Appendix-C split on a non-owning view, which every other split
+/// here adapts: the payload halves are SUBSPANS of the original — no
+/// payload byte moves. This is what makes splitting free on the
+/// gather-encode packing path: fragmentation is header math.
 std::pair<ChunkView, ChunkView> split_view(const ChunkView& v,
                                            std::uint16_t head_len);
 

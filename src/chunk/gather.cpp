@@ -1,10 +1,8 @@
 #include "src/chunk/gather.hpp"
 
 #include <cstring>
-#include <deque>
 
 #include "src/chunk/codec.hpp"
-#include "src/chunk/fragment.hpp"
 
 namespace chunknet {
 
@@ -64,78 +62,18 @@ GatherPacket gather_encode_packet(std::span<const ChunkView> chunks,
   return pkt;
 }
 
-bool gather_supported(RepackPolicy policy) {
-  return policy == RepackPolicy::kOnePerPacket ||
-         policy == RepackPolicy::kRepack;
-}
-
 GatherResult gather_packetize(std::span<const ChunkView> chunks,
                               const PacketizerOptions& opts) {
-  // Deliberately the same loop as packetize() — every packing,
-  // splitting, and drop decision must coincide so the linearized
-  // output is byte-for-byte identical. Only the chunk representation
-  // differs: views split by header math instead of payload copies.
   GatherResult result;
-  for (const ChunkView& v : chunks) result.payload_bytes += v.payload.size();
-
-  std::deque<ChunkView> queue(chunks.begin(), chunks.end());
-  std::vector<ChunkView> current;
-  std::size_t used = kPacketHeaderBytes;
-
-  auto flush = [&] {
-    if (current.empty()) return;
-    result.packets.push_back(gather_encode_packet(current, opts.mtu));
-    current.clear();
-    used = kPacketHeaderBytes;
-  };
-
-  while (!queue.empty()) {
-    ChunkView v = queue.front();
-    queue.pop_front();
-
-    const std::size_t room = opts.mtu - used;
-    if (v.wire_size() <= room) {
-      used += v.wire_size();
-      current.push_back(v);
-      if (opts.policy == RepackPolicy::kOnePerPacket) flush();
-      continue;
-    }
-
-    if (opts.split_to_fill && opts.policy != RepackPolicy::kOnePerPacket &&
-        v.h.len > 1) {
-      const std::uint16_t fit = elements_that_fit(v, room);
-      if (fit > 0 && fit < v.h.len) {
-        auto [head, tail] = split_view(v, fit);
-        ++result.splits;
-        used += head.wire_size();
-        current.push_back(head);
-        flush();
-        queue.push_front(tail);
-        continue;
-      }
-    }
-
-    flush();
-    if (v.wire_size() > opts.mtu - kPacketHeaderBytes) {
-      auto pieces = split_view_to_fit(v, opts.mtu - kPacketHeaderBytes);
-      if (pieces.empty()) {
-        result.payload_bytes -= v.payload.size();  // undeliverable, drop
-        continue;
-      }
-      result.splits += pieces.size() - 1;
-      for (auto it = pieces.rbegin(); it != pieces.rend(); ++it) {
-        queue.push_front(*it);
-      }
-      continue;
-    }
-    used += v.wire_size();
-    current.push_back(v);
-    if (opts.policy == RepackPolicy::kOnePerPacket) flush();
-  }
-  flush();
-
   std::uint64_t wire = 0;
-  for (const auto& p : result.packets) wire += p.wire_size;
+  result.splits =
+      pack_views(chunks, opts, [&](std::span<const ChunkView> packet) {
+        const GatherPacket& gp = result.packets.emplace_back(
+            gather_encode_packet(packet, opts.mtu));
+        wire += gp.wire_size;
+        result.payload_bytes += gp.borrowed_payload_bytes;
+      });
+  // Overhead = everything on the wire that is not application payload.
   result.header_bytes = wire - result.payload_bytes;
   return result;
 }

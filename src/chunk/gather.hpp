@@ -11,6 +11,11 @@
 // MTU space (split_view: header math + subspan), and retransmitting a
 // pending TPDU all cost zero payload-byte copies.
 //
+// gather_packetize runs the one packing loop (pack_views in
+// packetizer.hpp) and emits GatherPackets; the sender transmits those.
+// packetize() runs the same loop and encodes each packet straight into
+// a byte vector; relays use that.
+//
 // `linearize_into` flattens the segment list into one contiguous
 // buffer. It models what a NIC's scatter-gather DMA engine does with
 // an iovec chain, and is the handoff boundary to the byte-oriented
@@ -76,16 +81,9 @@ struct GatherResult {
   std::size_t splits{0};
 };
 
-/// True for the repack policies the gather path can serve.
-/// kReassemble needs cross-chunk coalescing (payload bytes from many
-/// chunks merged into one), which is inherently materializing.
-bool gather_supported(RepackPolicy policy);
-
-/// Mirror of packetize() for kOnePerPacket/kRepack: identical packing,
-/// splitting, and drop decisions (the linearized packets are
-/// byte-for-byte equal to packetize's — parity-tested), but chunk
-/// splits are split_view header math and payload is borrowed.
-/// Precondition: gather_supported(opts.policy).
+/// pack_views emitting GatherPackets: the sender's transmit packer.
+/// Splits are header math and payload is borrowed, so nothing copies a
+/// payload byte until the packets are linearized.
 GatherResult gather_packetize(std::span<const ChunkView> chunks,
                               const PacketizerOptions& opts);
 

@@ -1,47 +1,36 @@
 #include "src/chunk/packetizer.hpp"
 
-#include <deque>
-
 #include "src/chunk/codec.hpp"
 #include "src/chunk/fragment.hpp"
 #include "src/chunk/reassemble.hpp"
 
 namespace chunknet {
 
-PacketizeResult packetize(std::vector<Chunk> chunks,
-                          const PacketizerOptions& opts) {
-  PacketizeResult result;
-
-  if (opts.policy == RepackPolicy::kReassemble) {
-    const std::size_t before = chunks.size();
-    chunks = coalesce(std::move(chunks));
-    result.merges = before - chunks.size();
-  }
-
-  for (const Chunk& c : chunks) result.payload_bytes += c.payload.size();
-
-  std::deque<Chunk> queue(std::make_move_iterator(chunks.begin()),
-                          std::make_move_iterator(chunks.end()));
-
-  std::vector<Chunk> current;
+std::uint64_t pack_views(
+    std::span<const ChunkView> chunks, const PacketizerOptions& opts,
+    const std::function<void(std::span<const ChunkView>)>& emit) {
+  std::uint64_t splits = 0;
+  // Work queue as a stack: its back is the next chunk to place, so the
+  // pieces of a split go back on top with one push each.
+  std::vector<ChunkView> queue(chunks.rbegin(), chunks.rend());
+  std::vector<ChunkView> current;
   std::size_t used = kPacketHeaderBytes;
 
   auto flush = [&] {
     if (current.empty()) return;
-    auto pkt = encode_packet(current, opts.mtu);
-    result.packets.push_back(std::move(pkt));
+    emit(current);
     current.clear();
     used = kPacketHeaderBytes;
   };
 
   while (!queue.empty()) {
-    Chunk c = std::move(queue.front());
-    queue.pop_front();
+    ChunkView v = queue.back();
+    queue.pop_back();
 
     const std::size_t room = opts.mtu - used;
-    if (c.wire_size() <= room) {
-      used += c.wire_size();
-      current.push_back(std::move(c));
+    if (v.wire_size() <= room) {
+      used += v.wire_size();
+      current.push_back(v);
       if (opts.policy == RepackPolicy::kOnePerPacket) flush();
       continue;
     }
@@ -50,15 +39,15 @@ PacketizeResult packetize(std::vector<Chunk> chunks,
     // residual space (chunk fragmentation, Appendix C), or close this
     // packet and start a fresh one.
     if (opts.split_to_fill && opts.policy != RepackPolicy::kOnePerPacket &&
-        c.h.len > 1) {
-      const std::uint16_t fit = elements_that_fit(c, room);
-      if (fit > 0 && fit < c.h.len) {
-        auto [head, tail] = split_chunk(c, fit);
-        ++result.splits;
+        v.h.len > 1) {
+      const std::uint16_t fit = elements_that_fit(v, room);
+      if (fit > 0 && fit < v.h.len) {
+        auto [head, tail] = split_view(v, fit);
+        ++splits;
         used += head.wire_size();
-        current.push_back(std::move(head));
+        current.push_back(head);
         flush();
-        queue.push_front(std::move(tail));
+        queue.push_back(tail);
         continue;
       }
     }
@@ -66,29 +55,48 @@ PacketizeResult packetize(std::vector<Chunk> chunks,
     flush();
     // The packet is now empty; a chunk that still exceeds the MTU must
     // be fragmented unconditionally (Figure 3).
-    if (c.wire_size() > opts.mtu - kPacketHeaderBytes) {
-      auto pieces = split_to_fit(c, opts.mtu - kPacketHeaderBytes);
-      if (pieces.empty()) {
-        // MTU cannot carry even one element: undeliverable, drop.
-        result.payload_bytes -= c.payload.size();
-        continue;
-      }
-      result.splits += pieces.size() - 1;
+    if (v.wire_size() > opts.mtu - kPacketHeaderBytes) {
+      auto pieces = split_view_to_fit(v, opts.mtu - kPacketHeaderBytes);
+      if (pieces.empty()) continue;  // undeliverable, drop
+      splits += pieces.size() - 1;
       for (auto it = pieces.rbegin(); it != pieces.rend(); ++it) {
-        queue.push_front(std::move(*it));
+        queue.push_back(*it);
       }
       continue;
     }
-    used += c.wire_size();
-    current.push_back(std::move(c));
+    used += v.wire_size();
+    current.push_back(v);
     if (opts.policy == RepackPolicy::kOnePerPacket) flush();
   }
   flush();
+  return splits;
+}
 
+PacketizeResult packetize(std::vector<Chunk> chunks,
+                          const PacketizerOptions& opts) {
+  PacketizeResult result;
+  if (opts.policy == RepackPolicy::kReassemble) {
+    const std::size_t before = chunks.size();
+    chunks = coalesce(std::move(chunks));
+    result.merges = before - chunks.size();
+  }
+
+  std::vector<ChunkView> views;
+  views.reserve(chunks.size());
+  for (const Chunk& c : chunks) views.push_back(as_view(c));
+  // The one payload copy: each packet's views encode into its vector.
+  std::uint64_t wire = 0;
+  result.splits =
+      pack_views(views, opts, [&](std::span<const ChunkView> packet) {
+        auto& bytes = result.packets.emplace_back();
+        encode_packet_into(packet, opts.mtu, bytes);
+        wire += bytes.size();
+        for (const ChunkView& v : packet) {
+          result.payload_bytes += v.payload.size();
+        }
+      });
   // Overhead = everything on the wire that is not application payload
   // (packet envelopes, chunk headers, terminators).
-  std::uint64_t wire = 0;
-  for (const auto& p : result.packets) wire += p.size();
   result.header_bytes = wire - result.payload_bytes;
   return result;
 }

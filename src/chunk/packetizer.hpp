@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -49,9 +50,23 @@ struct PacketizeResult {
   }
 };
 
+/// The one packing loop: fills packets of at most `opts.mtu` bytes with
+/// `chunks`, splitting to fill residual space and fragmenting oversized
+/// chunks (Appendix C, as split_view header math — no payload byte
+/// moves), dropping chunks whose single element cannot fit. Calls
+/// `emit` once per packet with its chunks in wire order; those views
+/// are valid only during the call. kReassemble packs like kRepack:
+/// merging is the caller's step (see packetize()). Returns the number
+/// of chunk splits.
+std::uint64_t pack_views(
+    std::span<const ChunkView> chunks, const PacketizerOptions& opts,
+    const std::function<void(std::span<const ChunkView>)>& emit);
+
 /// Packs `chunks` into packets of at most `opts.mtu` bytes each,
 /// splitting oversized chunks as needed (Appendix C), merging first if
-/// the policy is kReassemble (Appendix D).
+/// the policy is kReassemble (Appendix D). An adapter over pack_views
+/// that encodes each packet straight into its byte vector, so each
+/// payload byte is copied once.
 PacketizeResult packetize(std::vector<Chunk> chunks,
                           const PacketizerOptions& opts);
 

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,15 +88,19 @@ class TimeSeriesSampler {
 /// from now. Each tick samples, then re-arms only if the queue still
 /// holds other events (the tick itself is already popped while it
 /// runs), so the ticks terminate with the workload instead of spinning
-/// an idle simulation forever. The sampler must outlive the run.
+/// an idle simulation forever. The sampler must outlive the run; ticks
+/// hold only pointers and re-arm copies of themselves, so none leaks.
 template <typename Sim>
 void attach_sampler(Sim& sim, TimeSeriesSampler& sampler) {
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&sim, &sampler, tick] {
-    sampler.sample(sim.now());
-    if (sim.pending()) sim.arm_in(sampler.interval(), *tick);
+  struct Tick {
+    Sim* sim;
+    TimeSeriesSampler* sampler;
+    void operator()() const {
+      sampler->sample(sim->now());
+      if (sim->pending()) sim->arm_in(sampler->interval(), *this);
+    }
   };
-  sim.arm_in(sampler.interval(), *tick);
+  sim.arm_in(sampler.interval(), Tick{&sim, &sampler});
 }
 
 }  // namespace chunknet

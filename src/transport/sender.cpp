@@ -237,29 +237,19 @@ void ChunkTransportSender::transmit_tpdu(std::uint32_t tpdu_id,
       }
     }
   }
-  if (use_gather()) {
-    // Zero-copy: packets borrow the pending chunks' payload bytes, so
-    // a retransmission re-references the same bytes it sent last time.
-    std::vector<ChunkView> views;
-    views.reserve(p.chunks.size());
-    for (const Chunk& c : p.chunks) views.push_back(as_view(c));
-    send_chunk_views(views);
-  } else {
-    send_chunks(p.chunks);  // copies: the originals stay for retransmission
-  }
+  // Zero-copy: packets borrow the pending chunks' payload bytes, so a
+  // retransmission re-references the same bytes it sent last time.
+  std::vector<ChunkView> views;
+  views.reserve(p.chunks.size());
+  for (const Chunk& c : p.chunks) views.push_back(as_view(c));
+  send_chunk_views(views);
   arm_timer(tpdu_id);
 }
 
 std::size_t ChunkTransportSender::abandon_outstanding() {
   std::size_t n = 0;
   while (!outstanding_.empty()) {
-    auto it = outstanding_.begin();
-    ++stats_.gave_up;
-    obs_add(m_.gave_up);
-    span(SpanEventKind::kTpduGaveUp, it->first);
-    gave_up_ids_.push_back(it->first);
-    on_tpdu_retired(it->second);
-    outstanding_.erase(it);
+    give_up(outstanding_.begin());
     ++n;
   }
   // Flow-queued ids point into outstanding_, so the loop above already
@@ -267,6 +257,15 @@ std::size_t ChunkTransportSender::abandon_outstanding() {
   send_queue_.clear();
   if (cfg_.flow.enabled) publish_flow_gauges();
   return n;
+}
+
+void ChunkTransportSender::give_up(Outstanding::iterator it) {
+  ++stats_.gave_up;
+  obs_add(m_.gave_up);
+  span(SpanEventKind::kTpduGaveUp, it->first);
+  gave_up_ids_.push_back(it->first);
+  on_tpdu_retired(it->second);
+  outstanding_.erase(it);
 }
 
 void ChunkTransportSender::arm_timer(std::uint32_t tpdu_id) {
@@ -278,12 +277,7 @@ void ChunkTransportSender::arm_timer(std::uint32_t tpdu_id) {
     if (it == outstanding_.end()) return;          // acked meanwhile
     if (it->second.last_sent > armed_at) return;   // newer timer pending
     if (it->second.attempts > cfg_.max_retransmits) {
-      ++stats_.gave_up;
-      obs_add(m_.gave_up);
-      span(SpanEventKind::kTpduGaveUp, tpdu_id);
-      gave_up_ids_.push_back(tpdu_id);
-      on_tpdu_retired(it->second);
-      outstanding_.erase(it);
+      give_up(it);
       if (cfg_.flow.enabled) pump_queue();
       return;
     }
@@ -323,49 +317,25 @@ std::optional<ChunkView> slice_view(const ChunkView& v, std::uint64_t lo,
 }  // namespace
 
 void ChunkTransportSender::send_chunk_views(std::span<const ChunkView> views) {
-  PacketizerOptions opts;
-  opts.mtu = cfg_.mtu;
-  opts.policy = cfg_.pack_policy;
-  GatherResult packed = gather_packetize(views, opts);
+  const GatherResult packed = gather_packetize(views, {.mtu = cfg_.mtu});
   for (const GatherPacket& gp : packed.packets) {
-    stats_.bytes_sent += gp.wire_size;
-    ++stats_.packets_sent;
-    stats_.tx_gather_bytes += gp.borrowed_payload_bytes;
-    obs_add(m_.packets_sent);
-    obs_add(m_.bytes_sent, gp.wire_size);
-    obs_add(m_.tx_gather_bytes, gp.borrowed_payload_bytes);
-    if (cfg_.obs != nullptr && cfg_.obs->tracer != nullptr) {
-      TraceEvent e;
-      e.t = clock_.now();
-      e.kind = TraceEventKind::kPacketized;
-      e.site = cfg_.obs_site;
-      e.aux = gp.wire_size;
-      cfg_.obs->tracer->record(e);
-    }
     // Linearization is the scatter-gather DMA analogue at the network
     // handoff — the sender itself copied no payload bytes.
-    if (cfg_.send_packet) cfg_.send_packet(gp.linearize());
-  }
-}
-
-void ChunkTransportSender::send_chunks(std::vector<Chunk> chunks) {
-  PacketizerOptions opts;
-  opts.mtu = cfg_.mtu;
-  opts.policy = cfg_.pack_policy;
-  PacketizeResult packed = packetize(std::move(chunks), opts);
-  // Materializing assembly copies every (deliverable) payload byte
-  // into the flat packet buffers.
-  stats_.tx_bytes_copied += packed.payload_bytes;
-  obs_add(m_.tx_bytes_copied, packed.payload_bytes);
-  for (auto& pkt : packed.packets) {
+    PacketBytes pkt = gp.linearize();
     if (cfg_.compress_wire) {
-      // Re-encode the packet in the compact negotiated syntax; the
-      // compressed form is never larger, and unrepresentable chunks
-      // fall back to the canonical envelope (both parse at the peer).
+      // Re-encode the packet in the compact negotiated syntax, payload
+      // included; the compressed form is never larger, and
+      // unrepresentable chunks fall back to the canonical envelope
+      // (both parse at the peer).
       const ParsedPacket parsed = decode_packet(pkt);
       auto compact = compress_packet(parsed.chunks, *cfg_.compress_wire,
                                      cfg_.mtu);
-      if (!compact.empty()) pkt = std::move(compact);
+      if (!compact.empty()) pkt = compact;
+      stats_.tx_bytes_copied += gp.borrowed_payload_bytes;
+      obs_add(m_.tx_bytes_copied, gp.borrowed_payload_bytes);
+    } else {
+      stats_.tx_gather_bytes += gp.borrowed_payload_bytes;
+      obs_add(m_.tx_gather_bytes, gp.borrowed_payload_bytes);
     }
     stats_.bytes_sent += pkt.size();
     ++stats_.packets_sent;
@@ -396,12 +366,7 @@ void ChunkTransportSender::handle_gap_nak(const Chunk& signal) {
   // NAK → slice → evict livelock. Over budget, give up truthfully
   // exactly like the whole-TPDU retransmission path.
   if (it->second.attempts > cfg_.max_retransmits) {
-    ++stats_.gave_up;
-    obs_add(m_.gave_up);
-    span(SpanEventKind::kTpduGaveUp, nak->tpdu_id);
-    gave_up_ids_.push_back(nak->tpdu_id);
-    on_tpdu_retired(it->second);
-    outstanding_.erase(it);
+    give_up(it);
     if (cfg_.flow.enabled) pump_queue();
     return;
   }
@@ -412,6 +377,13 @@ void ChunkTransportSender::handle_gap_nak(const Chunk& signal) {
   // Slices are views over the pending chunks: the cut is header math
   // plus a payload subspan, so building the resend list copies nothing.
   std::vector<ChunkView> resend;
+  auto take = [&](const ChunkView& piece) {
+    stats_.selective_retx_elements += piece.h.len;
+    stats_.retx_payload_bytes += piece.payload.size();
+    obs_add(m_.retx_payload_bytes, piece.payload.size());
+    trace_chunk(TraceEventKind::kChunkBuilt, piece.h, 1);
+    resend.push_back(piece);
+  };
   for (const Chunk& c : it->second.chunks) {
     if (c.h.type == ChunkType::kErrorDetection) {
       if (nak->need_ed_chunk) resend.push_back(as_view(c));
@@ -424,35 +396,20 @@ void ChunkTransportSender::handle_gap_nak(const Chunk& signal) {
       if (auto piece = slice_view(v, g.first_sn,
                                   static_cast<std::uint64_t>(g.first_sn) +
                                       g.length)) {
-        stats_.selective_retx_elements += piece->h.len;
-        stats_.retx_payload_bytes += piece->payload.size();
-        obs_add(m_.retx_payload_bytes, piece->payload.size());
-        trace_chunk(TraceEventKind::kChunkBuilt, piece->h, 1);
-        resend.push_back(*piece);
+        take(*piece);
         taken = true;
       }
     }
     if (!taken && nak->need_tail) {
       if (auto piece = slice_view(v, nak->tail_from, ~std::uint64_t{0})) {
-        stats_.selective_retx_elements += piece->h.len;
-        stats_.retx_payload_bytes += piece->payload.size();
-        obs_add(m_.retx_payload_bytes, piece->payload.size());
-        trace_chunk(TraceEventKind::kChunkBuilt, piece->h, 1);
-        resend.push_back(*piece);
+        take(*piece);
       }
     }
   }
   if (resend.empty()) return;
   it->second.last_sent = clock_.now();  // quiet the whole-TPDU backstop
   it->second.retransmitted = true;    // Karn: later ACK is ambiguous
-  if (use_gather()) {
-    send_chunk_views(resend);
-  } else {
-    std::vector<Chunk> owned;
-    owned.reserve(resend.size());
-    for (const ChunkView& piece : resend) owned.push_back(piece.to_chunk());
-    send_chunks(std::move(owned));
-  }
+  send_chunk_views(resend);
   arm_timer(nak->tpdu_id);
 }
 
@@ -495,12 +452,7 @@ void ChunkTransportSender::on_packet(SimPacket pkt) {
       ++stats_.naks;
       obs_add(m_.naks);
       if (it->second.attempts > cfg_.max_retransmits) {
-        ++stats_.gave_up;
-        obs_add(m_.gave_up);
-        span(SpanEventKind::kTpduGaveUp, ack.tpdu_id);
-        gave_up_ids_.push_back(ack.tpdu_id);
-        on_tpdu_retired(it->second);
-        outstanding_.erase(it);
+        give_up(it);
         if (cfg_.flow.enabled) pump_queue();
         continue;
       }

@@ -4,7 +4,10 @@
 // Figure 1), computes each TPDU's WSC-2 invariant (Figure 5) and
 // attaches it as an ED control chunk (Figure 3), packetizes to the
 // first-hop MTU, and handles error control: per-TPDU ACK/NAK plus a
-// retransmission timer. Retransmitted data reuses the ORIGINAL
+// retransmission timer. Every transmission (first send, resend, GapNak
+// slice) gathers views of the pending TPDU's chunks, copying no payload
+// byte unless compress_wire re-encodes it; repacking policies (Figure
+// 4) belong to relays. Retransmitted data reuses the ORIGINAL
 // identifiers (§3.3: "retransmitted data should use the same
 // identifiers as the originally transmitted data"), so late duplicates
 // of the first transmission are recognized and rejected by the
@@ -34,7 +37,6 @@ namespace chunknet {
 struct SenderConfig {
   FramerOptions framer{};
   std::size_t mtu{1500};
-  RepackPolicy pack_policy{RepackPolicy::kRepack};
   InvariantConfig invariant{};
   SimTime retransmit_timeout{50 * kMillisecond};
   int max_retransmits{8};
@@ -55,8 +57,9 @@ struct SenderConfig {
   bool selective_retransmit{false};
   /// When set, packets leave in the compact Appendix-A syntax under
   /// this (signalled) profile instead of the canonical fixed-field
-  /// syntax. Falls back to canonical per packet if a chunk is not
-  /// representable under the profile.
+  /// syntax: each linearized packet is re-encoded, payload included
+  /// (counted in stats().tx_bytes_copied). Falls back to canonical per
+  /// packet if a chunk is not representable under the profile.
   std::optional<CompressionProfile> compress_wire;
   /// Credit-based end-to-end flow control (docs/ROBUSTNESS.md,
   /// "Overload control"). When enabled, framed TPDUs wait in a send
@@ -78,15 +81,6 @@ struct SenderConfig {
     SimTime probe_timeout{200 * kMillisecond};
   };
   FlowControlConfig flow{};
-  /// Gather-encode transmit path (src/chunk/gather.hpp): packets are
-  /// assembled iovec-style, borrowing payload bytes from the pending
-  /// TPDU store, so transmission — and in particular RETRANSMISSION —
-  /// copies zero payload bytes on the sender (stats().tx_bytes_copied
-  /// stays flat; linearization is the NIC DMA analogue and is not
-  /// charged). Automatically falls back to the materializing path for
-  /// kReassemble packing and compressed wire syntax, which both
-  /// re-encode payload bytes by nature.
-  bool gather_tx{true};
   /// Transmit a packet body into the network (first hop). Bodies are
   /// PacketBytes (64-byte aligned) so pooled/gathered packets travel
   /// without re-copying.
@@ -145,12 +139,12 @@ class ChunkTransportSender final : public PacketSink {
     std::uint64_t gap_naks_honoured{0};
     std::uint64_t selective_retx_elements{0};
     std::uint64_t retx_payload_bytes{0};  ///< payload resent (any kind)
-    /// Payload bytes COPIED during sender-side packet assembly (the
-    /// materializing encode path). Zero on the gather path — the
+    /// Payload bytes COPIED during sender-side packet assembly: only
+    /// the compress_wire re-encoding copies. Zero otherwise — the
     /// zero-copy proof the lossy-link retransmission test pins.
     std::uint64_t tx_bytes_copied{0};
     /// Payload bytes transmitted by reference through gather segments
-    /// (the bytes that would have been copied without the gather path).
+    /// (canonical syntax; linearization is the NIC DMA analogue).
     std::uint64_t tx_gather_bytes{0};
     /// Adaptive-RTO bookkeeping: RTT samples fed to the estimator,
     /// samples discarded by Karn's rule, and timeout backoffs.
@@ -187,7 +181,11 @@ class ChunkTransportSender final : public PacketSink {
     std::uint64_t payload_bytes{0};  ///< data payload (credit currency)
   };
 
+  using Outstanding = std::map<std::uint32_t, PendingTpdu>;
+
   void transmit_tpdu(std::uint32_t tpdu_id, PendingTpdu& p);
+  /// Abandons one outstanding TPDU, accounted as a give-up everywhere.
+  void give_up(Outstanding::iterator it);
   void arm_timer(std::uint32_t tpdu_id);
   void handle_gap_nak(const Chunk& signal);
   void handle_credit_grant(const Chunk& signal);
@@ -199,15 +197,10 @@ class ChunkTransportSender final : public PacketSink {
   /// An admitted TPDU left outstanding_ (acked or abandoned).
   void on_tpdu_retired(const PendingTpdu& p);
   void publish_flow_gauges();
-  void send_chunks(std::vector<Chunk> chunks);
-  /// The zero-copy transmit: gather-packetizes views over chunks owned
-  /// by the pending store and hands linearized bodies to send_packet.
+  /// The one transmit path: gather-packetizes views over chunks owned
+  /// by the pending store and hands linearized bodies, compressed if
+  /// configured, to send_packet.
   void send_chunk_views(std::span<const ChunkView> views);
-  /// True when this sender's configuration can use the gather path.
-  bool use_gather() const {
-    return cfg_.gather_tx && !cfg_.compress_wire &&
-           gather_supported(cfg_.pack_policy);
-  }
   void trace_chunk(TraceEventKind kind, const ChunkHeader& h,
                    std::uint64_t aux = 0) const;
   void span(SpanEventKind kind, std::uint32_t tpdu_id,
@@ -241,7 +234,7 @@ class ChunkTransportSender final : public PacketSink {
   RtoEstimator rto_;
   ObsHandles m_;
   SpanRecorder* spans_{nullptr};  ///< resolved once; hot path
-  std::map<std::uint32_t, PendingTpdu> outstanding_;
+  Outstanding outstanding_;
   std::vector<std::uint32_t> gave_up_ids_;
   bool started_{false};
   Stats stats_;

@@ -1,8 +1,9 @@
-// Tests for the gather-encode transmit path: byte-for-byte parity with
-// the materializing encoder (including fragmented chunks and
-// wraparound SNs), view splitting, and the sender-level zero-copy
-// guarantee — retransmission of an unacked TPDU copies no payload
-// bytes (sender.tx_bytes_copied stays flat on a lossy link).
+// Tests for the gather-encode packing loop: byte-for-byte parity with
+// the materializing encoder and with packetize's copy-out (including
+// fragmented chunks and wraparound SNs), view splitting, and the
+// sender-level zero-copy guarantee — retransmission of an unacked TPDU
+// copies no payload bytes (sender.tx_bytes_copied stays flat on a lossy
+// link); only compress_wire's re-encoding copies.
 #include "src/chunk/gather.hpp"
 
 #include <gtest/gtest.h>
@@ -17,9 +18,11 @@
 #include "src/chunk/fragment.hpp"
 #include "src/common/rng.hpp"
 #include "src/netsim/link.hpp"
+#include "src/netsim/router.hpp"
 #include "src/netsim/simulator.hpp"
 #include "src/transport/receiver.hpp"
 #include "src/transport/sender.hpp"
+#include "tests/packer_golden.hpp"
 
 namespace chunknet {
 namespace {
@@ -189,6 +192,10 @@ struct TxHarness {
   /// Deterministic forward loss by packet index (seed-independent).
   std::function<bool(std::uint64_t)> drop_nth;
   std::uint64_t fwd_count{0};
+  /// Optional relay between the forward link and the receiver; it
+  /// re-envelopes each packet for `relay_mtu`.
+  RelayFn relay;
+  std::size_t relay_mtu{0};
 
   struct DroppingSink final : public PacketSink {
     TxHarness* h;
@@ -196,13 +203,20 @@ struct TxHarness {
     void on_packet(SimPacket pkt) override {
       const std::uint64_t idx = h->fwd_count++;
       if (h->drop_nth && h->drop_nth(idx)) return;
-      h->receiver->on_packet(std::move(pkt));
+      if (!h->relay) {
+        h->receiver->on_packet(std::move(pkt));
+        return;
+      }
+      for (PacketBytes& body : h->relay(std::move(pkt.bytes), h->relay_mtu)) {
+        SimPacket out;
+        out.bytes = std::move(body);
+        h->receiver->on_packet(std::move(out));
+      }
     }
   };
   std::unique_ptr<DroppingSink> dropper;
 
-  TxHarness(LinkConfig fwd_cfg, std::size_t stream_bytes, bool gather_tx,
-            RepackPolicy policy = RepackPolicy::kRepack,
+  TxHarness(LinkConfig fwd_cfg, std::size_t stream_bytes,
             bool selective = false,
             std::optional<CompressionProfile> compress = std::nullopt) {
     ReceiverConfig rc;
@@ -231,8 +245,6 @@ struct TxHarness {
     sc.framer.xpdu_elements = 128;
     sc.framer.max_chunk_elements = 64;
     sc.mtu = fwd_cfg.mtu;
-    sc.pack_policy = policy;
-    sc.gather_tx = gather_tx;
     if (compress) {
       sc.compress_wire = compress;
       sc.framer.implicit_ids = true;  // compact syntax needs Figure-7 IDs
@@ -267,7 +279,7 @@ TEST(GatherTx, RetransmissionCopiesZeroPayloadBytes) {
   cfg.mtu = 1500;
   cfg.loss_rate = 0.15;  // forces whole-TPDU retransmissions
   const auto stream = pattern(32 * 1024);
-  TxHarness h(cfg, stream.size(), /*gather_tx=*/true);
+  TxHarness h(cfg, stream.size());
   h.sender->send_stream(stream);
   h.sim.run();
 
@@ -292,8 +304,7 @@ TEST(GatherTx, SelectiveRetransmitStaysZeroCopy) {
   LinkConfig cfg;
   cfg.mtu = 1500;
   const auto stream = pattern(32 * 1024);
-  TxHarness h(cfg, stream.size(), /*gather_tx=*/true, RepackPolicy::kRepack,
-              /*selective=*/true);
+  TxHarness h(cfg, stream.size(), /*selective=*/true);
   // Deterministically lose a few mid-TPDU packets so gaps persist.
   h.drop_nth = [](std::uint64_t i) { return i == 2 || i == 9 || i == 16; };
   h.sender->send_stream(stream);
@@ -311,31 +322,38 @@ TEST(GatherTx, MaterializingFallbackCountsEveryPayloadByte) {
   LinkConfig cfg;
   cfg.mtu = 1500;
   const auto stream = pattern(16 * 1024);
-  TxHarness h(cfg, stream.size(), /*gather_tx=*/false);
+  // compress_wire re-encodes every packet, payload included: the only
+  // transmit step that copies payload bytes.
+  TxHarness h(cfg, stream.size(), /*selective=*/false, CompressionProfile{});
   h.sender->send_stream(stream);
   h.sim.run();
 
   ASSERT_TRUE(h.sender->all_acked());
-  // The flat encoder copies at least the whole stream (plus the ED
-  // chunks' payloads) into packet buffers; nothing goes by reference.
+  // At least the whole stream (plus the ED chunks' payloads) is
+  // counted as copied; nothing goes by reference.
   EXPECT_GE(h.sender->stats().tx_bytes_copied, stream.size());
   EXPECT_EQ(h.sender->stats().tx_gather_bytes, 0u);
 }
 
 TEST(GatherTx, ReassemblePolicyFallsBackToMaterializing) {
+  // Figure 4's merging lives in relays: the sender transmits zero-copy,
+  // and a kReassemble relay coalesces (copying) on the way.
   LinkConfig cfg;
   cfg.mtu = 1500;
   const auto stream = pattern(16 * 1024);
-  TxHarness h(cfg, stream.size(), /*gather_tx=*/true,
-              RepackPolicy::kReassemble);
+  TxHarness h(cfg, stream.size());
+  RelayStats relayed;
+  h.relay = chunk_relay(RepackPolicy::kReassemble, &relayed);
+  h.relay_mtu = cfg.mtu;
   h.sender->send_stream(stream);
   h.sim.run();
 
   ASSERT_TRUE(h.sender->all_acked());
-  // kReassemble coalesces payload across chunks — inherently a copy —
-  // so gather_tx=true must quietly take the materializing path.
-  EXPECT_GE(h.sender->stats().tx_bytes_copied, stream.size());
-  EXPECT_EQ(h.sender->stats().tx_gather_bytes, 0u);
+  EXPECT_GT(relayed.merges, 0u);
+  EXPECT_EQ(h.sender->stats().tx_bytes_copied, 0u);
+  EXPECT_TRUE(h.receiver->stream_complete(stream.size() / 4));
+  EXPECT_TRUE(std::equal(stream.begin(), stream.end(),
+                         h.receiver->app_data().begin()));
 }
 
 TEST(GatherTx, CompressedWireFallsBackToMaterializing) {
@@ -343,10 +361,9 @@ TEST(GatherTx, CompressedWireFallsBackToMaterializing) {
   cfg.mtu = 1500;
   const auto stream = pattern(16 * 1024);
   // Compact syntax rewrites header bytes per packet, so it cannot be
-  // assembled from borrowed spans: gather_tx=true + compress_wire must
-  // take the materializing path — and still deliver intact.
-  TxHarness h(cfg, stream.size(), /*gather_tx=*/true, RepackPolicy::kRepack,
-              /*selective=*/false, CompressionProfile{});
+  // sent from borrowed spans: compress_wire re-encodes each linearized
+  // packet — and still delivers intact.
+  TxHarness h(cfg, stream.size(), /*selective=*/false, CompressionProfile{});
   h.sender->send_stream(stream);
   h.sim.run();
 
@@ -358,35 +375,14 @@ TEST(GatherTx, CompressedWireFallsBackToMaterializing) {
 }
 
 TEST(GatherTx, GatherAndMaterializingEmitIdenticalWireBytes) {
-  // Capture the first transmission of the same stream from a gather
-  // sender and a materializing sender: the wire bytes must be
-  // identical, packet for packet.
-  const auto stream = pattern(24 * 1024);
-  auto run = [&](bool gather_tx) {
-    Simulator sim;
-    std::vector<std::vector<std::uint8_t>> captured;
-    SenderConfig sc;
-    sc.framer.connection_id = 7;
-    sc.framer.element_size = 4;
-    sc.framer.tpdu_elements = 512;
-    sc.framer.xpdu_elements = 128;
-    sc.framer.max_chunk_elements = 48;
-    sc.mtu = 300;  // forces split_to_fill fragmentation
-    sc.gather_tx = gather_tx;
-    sc.send_packet = [&captured](PacketBytes bytes) {
-      captured.emplace_back(bytes.data(), bytes.data() + bytes.size());
-    };
-    ChunkTransportSender sender(sim, std::move(sc));
-    sender.send_stream(stream);
-    return captured;
-  };
-  const auto gathered = run(true);
-  const auto materialized = run(false);
-  ASSERT_EQ(gathered.size(), materialized.size());
-  ASSERT_FALSE(gathered.empty());
-  for (std::size_t i = 0; i < gathered.size(); ++i) {
-    ASSERT_EQ(gathered[i], materialized[i]) << "packet " << i;
-  }
+  // The first transmission of a stream at MTU 300 (split_to_fill
+  // fragmentation) must match, packet for packet, the wire bytes the
+  // materializing sender emitted when both transmit paths existed
+  // (recorded in tests/packer_golden.txt).
+  const std::string recorded =
+      golden::recorded_line("sender mtu=300 compress=0");
+  ASSERT_FALSE(recorded.empty()) << "tests/packer_golden.txt";
+  EXPECT_EQ(golden::sender_first_transmission(false), recorded);
 }
 
 }  // namespace
