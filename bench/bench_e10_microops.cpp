@@ -4,7 +4,7 @@
 // header compression, and the ILP layered-vs-integrated processing
 // loops (google-benchmark), plus the zero-copy acceptance sections
 // (owning vs view decode, the WSC-2 kernel roofline, GF multiply
-// variants, batched header codec, and the gather-encode TX path) whose
+// variants, batched header codec, and the sender's TX path) whose
 // claims land in BENCH_e10.json. A custom main runs the acceptance sections
 // first — CHUNKNET_BENCH_QUICK=1 shrinks them and skips the long
 // google-benchmark sweep (the CI perf-smoke mode).
@@ -14,8 +14,6 @@
 #include <string_view>
 
 #include "bench_util.hpp"
-
-#include "src/chunk/gather.hpp"
 
 #include "src/chunk/builder.hpp"
 #include "src/chunk/codec.hpp"
@@ -367,7 +365,7 @@ void wsc2_scalar_vs_sliced() {
 }
 
 /// Per-kernel roofline table: every registered WSC-2 kernel (scalar,
-/// slice-by-4/8, and the native carry-less-multiply variant when the
+/// slice-by-8, and the native carry-less-multiply variant when the
 /// CPU has one) against the scalar oracle and a memcpy roofline row.
 /// The registry is dispatch-independent, so this table is identical
 /// under CHUNKNET_FORCE_SCALAR (which only pins what add_words USES).
@@ -396,7 +394,6 @@ void wsc2_kernel_roofline() {
 
   TextTable t({"kernel", "ns/64KiB", "GB/s", "vs scalar"});
   double scalar_ns = 0.0;
-  double sliced4_ns = 0.0;
   double best_ns = 0.0;  // widest kernel = last registry entry
   for (const auto& k : kernels) {
     wsc2_kernels::RunSum sink{};
@@ -409,7 +406,6 @@ void wsc2_kernel_roofline() {
         iters);
     benchmark::DoNotOptimize(sink);
     if (std::string_view(k.name) == "scalar") scalar_ns = ns;
-    if (std::string_view(k.name) == "sliced4") sliced4_ns = ns;
     best_ns = ns;
     t.add_row({k.name, TextTable::num(ns, 0), TextTable::num(bytes / ns, 2),
                TextTable::num(scalar_ns > 0 ? scalar_ns / ns : 1.0, 2)});
@@ -428,12 +424,12 @@ void wsc2_kernel_roofline() {
              TextTable::num(bytes / memcpy_ns, 2), "-"});
   print_table(t);
 
-  const double widened = sliced4_ns > 0 && best_ns > 0
-                             ? sliced4_ns / best_ns
+  const double widened = scalar_ns > 0 && best_ns > 0
+                             ? scalar_ns / best_ns
                              : 1.0;
-  record_metric("wsc2_widest_over_sliced4", widened, "x");
-  print_claim(widened >= 1.5,
-              "widest WSC-2 kernel is >= 1.5x the slice-by-4 kernel "
+  record_metric("wsc2_widest_over_scalar", widened, "x");
+  print_claim(widened >= 2.0,
+              "widest WSC-2 kernel is >= 2x the scalar oracle "
               "(measured " + TextTable::num(widened, 2) + "x)");
 }
 
@@ -523,7 +519,7 @@ void header_codec_batched() {
   benchmark::DoNotOptimize(sink);
 
   // Raw header batch: all 32 canonical headers stored then re-loaded
-  // through the shared primitives the packet codec and gather path use.
+  // through the primitives the batched packet encode and decode use.
   std::vector<std::uint8_t> hdrs(chunks.size() * kChunkHeaderBytes);
   ChunkHeader scratch;
   const double ns_hdr_batch = time_ns_per_iter(
@@ -558,16 +554,15 @@ void header_codec_batched() {
                 "ns");
 }
 
-/// The one packing loop, timed three ways on the same chunk set:
-/// packetize (assemble, then copy each packet out into its byte vector
-/// — what relays pay), gather assemble alone (arena + segment list,
-/// payload untouched — what a scatter-gather NIC would transmit), and
-/// gather assemble + linearize (the software copy-out our SimPacket
-/// needs — what the sender pays).
-void gather_tx_path() {
+/// The one packing loop, timed two ways on the same chunk set:
+/// packetize (takes owning chunks by value, then copies each packet
+/// out into its byte vector — what relays pay) and the sender's
+/// transmit step (pack_views over borrowed views, each packet's views
+/// encoded straight into an aligned wire buffer).
+void tx_path() {
   print_heading("E10.tx",
-                "TX path — packetize (assemble, then copy out) vs gather "
-                "assemble (32 chunks, MTU 1500)");
+                "TX path — packetize (owning chunks, copy out) vs the "
+                "sender's pack + encode (32 chunks, MTU 1500)");
   std::vector<Chunk> chunks;
   make_32chunk_packet(&chunks);
   std::vector<ChunkView> views;
@@ -581,61 +576,55 @@ void gather_tx_path() {
   opts.mtu = 1500;
   const std::size_t iters = bench_quick() ? 2000 : 50000;
 
-  // Parity + the zero-copy accounting, before any timing.
+  // Parity + the one-copy accounting, before any timing.
   const PacketizeResult flat = packetize(chunks, opts);
-  const GatherResult gathered = gather_packetize(views, opts);
-  bool same = gathered.packets.size() == flat.packets.size();
-  std::size_t borrowed = 0;
-  for (std::size_t i = 0; same && i < flat.packets.size(); ++i) {
-    const PacketBytes lin = gathered.packets[i].linearize();
-    same = gathered.packets[i].wire_size == flat.packets[i].size() &&
-           std::equal(flat.packets[i].begin(), flat.packets[i].end(),
-                      lin.data());
-    borrowed += gathered.packets[i].borrowed_payload_bytes;
+  std::vector<PacketBytes> sent;
+  std::size_t encoded_payload = 0;
+  pack_views(views, opts, [&](std::span<const ChunkView> packet) {
+    encode_packet_into(packet, opts.mtu, sent.emplace_back());
+    for (const ChunkView& v : packet) encoded_payload += v.payload.size();
+  });
+  bool same = sent.size() == flat.packets.size();
+  for (std::size_t i = 0; same && i < sent.size(); ++i) {
+    same = sent[i] == flat.packets[i];
   }
-  print_claim(same, "packetize's copied-out packets equal the linearized "
-                    "gather packets byte for byte");
-  print_claim(borrowed == payload_total,
-              "gather assembly borrows every payload byte by reference "
-              "(zero payload copies before the NIC/DMA boundary)");
+  print_claim(same, "the sender's pack + encode emits packetize's packets "
+                    "byte for byte");
+  print_claim(encoded_payload == payload_total,
+              "pack + encode copies each payload byte once, straight "
+              "from the borrowed view into its wire buffer");
 
   double wire_bytes = 0;
   for (const auto& p : flat.packets) {
     wire_bytes += static_cast<double>(p.size());
   }
   std::size_t sink = 0;
-  const double ns_copyout = time_ns_per_iter(
+  const double ns_packetize = time_ns_per_iter(
       [&] { sink += packetize(chunks, opts).packets.size(); }, iters);
-  const double ns_gather = time_ns_per_iter(
-      [&] { sink += gather_packetize(views, opts).packets.size(); }, iters);
   PacketBytes out;
-  const double ns_gather_lin = time_ns_per_iter(
+  const double ns_encode = time_ns_per_iter(
       [&] {
-        const GatherResult r = gather_packetize(views, opts);
-        for (const auto& p : r.packets) {
-          p.linearize_into(out);
+        pack_views(views, opts, [&](std::span<const ChunkView> packet) {
+          encode_packet_into(packet, opts.mtu, out);
           sink += out.size();
-        }
+        });
       },
       iters);
   benchmark::DoNotOptimize(sink);
 
-  const double ratio = ns_copyout / ns_gather;
+  const double ratio = ns_packetize / ns_encode;
   TextTable t({"path", "ns/burst", "GB/s", "speedup"});
-  t.add_row({"packetize (assemble + copy out)", TextTable::num(ns_copyout, 0),
-             TextTable::num(wire_bytes / ns_copyout, 2),
+  t.add_row({"packetize (owning chunks, copy out)",
+             TextTable::num(ns_packetize, 0),
+             TextTable::num(wire_bytes / ns_packetize, 2),
              TextTable::num(1.0, 2)});
-  t.add_row({"gather assemble", TextTable::num(ns_gather, 0),
-             TextTable::num(wire_bytes / ns_gather, 2),
+  t.add_row({"sender pack + encode", TextTable::num(ns_encode, 0),
+             TextTable::num(wire_bytes / ns_encode, 2),
              TextTable::num(ratio, 2)});
-  t.add_row({"gather assemble + linearize", TextTable::num(ns_gather_lin, 0),
-             TextTable::num(wire_bytes / ns_gather_lin, 2),
-             TextTable::num(ns_copyout / ns_gather_lin, 2)});
   print_table(t);
-  record_metric("tx_packetize_copyout_ns_per_burst", ns_copyout, "ns");
-  record_metric("tx_gather_assemble_ns_per_burst", ns_gather, "ns");
-  record_metric("tx_gather_linearize_ns_per_burst", ns_gather_lin, "ns");
-  record_metric("tx_assemble_speedup_over_copyout", ratio, "x");
+  record_metric("tx_packetize_ns_per_burst", ns_packetize, "ns");
+  record_metric("tx_pack_encode_ns_per_burst", ns_encode, "ns");
+  record_metric("tx_pack_encode_speedup_over_packetize", ratio, "x");
 }
 
 }  // namespace
@@ -647,7 +636,7 @@ int main(int argc, char** argv) {
   chunknet::bench::wsc2_kernel_roofline();
   chunknet::bench::gf_mul_variants();
   chunknet::bench::header_codec_batched();
-  chunknet::bench::gather_tx_path();
+  chunknet::bench::tx_path();
   chunknet::bench::write_bench_json("e10");
   if (!chunknet::bench::bench_quick()) {
     benchmark::Initialize(&argc, argv);

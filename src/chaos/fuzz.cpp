@@ -119,6 +119,36 @@ bool same_chunk(const Chunk& a, const Chunk& b) {
   return a.h == b.h && a.payload == b.payload;
 }
 
+/// The differential oracle's independent decoder: the envelope checks
+/// over a ByteReader, then a decode_chunk_view loop — the bounds-checked
+/// reader path, which shares no code with decode_packet_views's pointer
+/// walk. nullopt = reject.
+std::optional<std::vector<ChunkView>> reference_decode(
+    std::span<const std::uint8_t> bytes) {
+  ByteReader r(bytes);
+  const std::uint8_t magic = r.u8();
+  const std::uint8_t version = r.u8();
+  const std::uint16_t length = r.u16();
+  if (!r.ok() || magic != kPacketMagic || version != kPacketVersion ||
+      length != r.remaining()) {
+    return std::nullopt;
+  }
+  std::vector<ChunkView> out;
+  for (;;) {
+    ChunkView v;
+    switch (decode_chunk_view(r, v)) {
+      case DecodeStatus::kOk:
+        out.push_back(v);
+        break;
+      case DecodeStatus::kTerminator:
+      case DecodeStatus::kEnd:
+        return out;
+      case DecodeStatus::kError:
+        return std::nullopt;
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> random_fuzz_packet(Rng& rng) {
@@ -196,27 +226,30 @@ void mutate_packet(std::vector<std::uint8_t>& bytes, Rng& rng) {
 
 std::optional<std::string> differential_decode(
     std::span<const std::uint8_t> bytes) {
-  const ParsedPacket owned = decode_packet(bytes);
+  const auto want = reference_decode(bytes);
   std::vector<ChunkView> views;
   const bool vok = decode_packet_views(bytes, views);
-  if (owned.ok != vok) {
-    return fmt("differential: decode_packet ok=%llu but "
+  if (want.has_value() != vok) {
+    return fmt("differential: reference decode ok=%llu but "
                "decode_packet_views ok=%llu",
-               owned.ok ? 1 : 0, vok ? 1 : 0);
+               want.has_value() ? 1 : 0, vok ? 1 : 0);
   }
-  if (!owned.ok) return std::nullopt;
-  if (owned.chunks.size() != views.size()) {
-    return fmt("differential: %llu owned chunks vs %llu views",
-               owned.chunks.size(), views.size());
+  if (!vok) return std::nullopt;
+  if (want->size() != views.size()) {
+    return fmt("differential: %llu reference chunks vs %llu views",
+               want->size(), views.size());
   }
   for (std::size_t i = 0; i < views.size(); ++i) {
-    const Chunk materialized = views[i].to_chunk();
-    if (!same_chunk(owned.chunks[i], materialized)) {
-      return fmt("differential: chunk %llu differs between owned and "
+    const ChunkView& ref = (*want)[i];
+    if (ref.h != views[i].h ||
+        !std::equal(ref.payload.begin(), ref.payload.end(),
+                    views[i].payload.begin(), views[i].payload.end())) {
+      return fmt("differential: chunk %llu differs between reference and "
                  "view decode",
                  i);
     }
   }
+  const ParsedPacket owned = decode_packet(bytes);
   // Idempotence: an accepted packet re-encodes and re-decodes to the
   // same chunk sequence (the codec is a bijection on its accept set).
   const auto reenc = encode_packet(owned.chunks, 1 << 17);

@@ -6,10 +6,11 @@
 // layout (LEN/SIZE, the envelope length, SN/ID words, truncated tails),
 // and every input runs through differential and round-trip oracles:
 //
-//   - differential decode: decode_packet and decode_packet_views must
-//     make byte-for-byte the same accept/reject decision and produce
-//     identical chunks — and an accepted packet must survive
-//     re-encode → re-decode unchanged (codec idempotence);
+//   - differential decode: decode_packet_views must make byte-for-byte
+//     the accept/reject decision of an independent reference (envelope
+//     checks plus a decode_chunk_view loop) and produce identical
+//     chunks — and an accepted packet must survive re-encode →
+//     re-decode unchanged (codec idempotence);
 //   - fragment round-trip: splitting any decoded data chunk on element
 //     boundaries (Appendix C) must conserve bytes and advance every
 //     framing tuple in lock-step;
@@ -43,8 +44,9 @@ std::vector<std::uint8_t> random_fuzz_packet(Rng& rng);
 void mutate_packet(std::vector<std::uint8_t>& bytes, Rng& rng);
 
 /// Differential + idempotence oracle over one input. Returns a
-/// description of the first divergence, or nullopt when the decoders
-/// agree (acceptance, chunk sequence, payload bytes, re-encode fixpoint).
+/// description of the first divergence, or nullopt when the view
+/// decoder agrees with the reference (acceptance, chunk sequence,
+/// payload bytes, re-encode fixpoint).
 std::optional<std::string> differential_decode(
     std::span<const std::uint8_t> bytes);
 
@@ -72,7 +74,7 @@ std::optional<std::string> signal_roundtrip(
     std::span<const std::uint8_t> bytes);
 
 /// SIMD-vs-scalar differential oracle: treats the input as raw symbol
-/// data and checks every registered WSC-2 kernel (slice-by-4/8, AVX2+
+/// data and checks every registered WSC-2 kernel (slice-by-8, AVX2+
 /// PCLMUL 16-word) against the scalar Horner reference — both the bare
 /// kernel RunSum and the full Wsc2Accumulator at a fuzz-chosen start
 /// position — and the dispatched/windowed GF(2^32) multiplies (plus the

@@ -6,6 +6,12 @@
 // paper's LEN = 0 chunk) marks the end. The decoder accepts untrusted
 // bytes: every structural violation yields an explicit error, never
 // undefined behaviour.
+//
+// There is one packet encoder, encode_packet_into_impl in codec.cpp,
+// instantiated for owning chunks and for views into vector or aligned
+// PacketBytes storage. The sender and packetize() hand it the views
+// pack_views emits, so the only payload copy on the transmit path is
+// the one into the wire buffer (the NIC-DMA analogue).
 #pragma once
 
 #include <cstdint>
@@ -78,20 +84,20 @@ bool encode_packet_into(std::span<const Chunk> chunks, std::size_t capacity,
 bool encode_packet_into(std::span<const Chunk> chunks, std::size_t capacity,
                         PacketBytes& out);
 
-/// Same, from views (packetize's one payload copy).
+/// Same, from views: each payload byte is copied once, straight from
+/// the borrowed span into the wire buffer. The vector flavour serves
+/// packetize(); the PacketBytes flavour serves the sender and the
+/// demultiplexer's control re-wrap.
 bool encode_packet_into(std::span<const ChunkView> chunks,
                         std::size_t capacity, std::vector<std::uint8_t>& out);
+bool encode_packet_into(std::span<const ChunkView> chunks,
+                        std::size_t capacity, PacketBytes& out);
 
 /// Raw batched header stores/loads: the 34-byte canonical chunk header
 /// written/read directly at `p` (caller guarantees the bounds). These
-/// are the per-chunk primitives the batched packet encode/decode and
-/// the gather-encode TX path share; `p` need not be aligned.
+/// are the per-chunk primitives of the batched packet encode/decode;
+/// `p` need not be aligned.
 void store_chunk_header(std::uint8_t* p, const ChunkHeader& h);
 void load_chunk_header(const std::uint8_t* p, ChunkHeader& h);
-
-/// Wire bytes needed to carry the given chunks in one packet,
-/// including envelope header (terminator excluded — it only occupies
-/// otherwise-unused space).
-std::size_t packed_size(std::span<const Chunk> chunks);
 
 }  // namespace chunknet

@@ -18,14 +18,14 @@ constexpr std::uint8_t kTagTst = 0x02;
 constexpr std::uint8_t kTagXst = 0x04;
 // bits 3..5: TYPE (3 bits)
 
-std::uint8_t make_tag(const Chunk& c, bool full, bool explicit_ids) {
+std::uint8_t make_tag(const ChunkHeader& h, bool full, bool explicit_ids) {
   std::uint8_t tag = static_cast<std::uint8_t>(
-      (static_cast<std::uint8_t>(c.h.type) & 0x07u) << 3);
+      (static_cast<std::uint8_t>(h.type) & 0x07u) << 3);
   if (full) tag |= kTagFull;
   if (explicit_ids) tag |= kTagExplicitIds;
-  if (c.h.conn.st) tag |= kTagCst;
-  if (c.h.tpdu.st) tag |= kTagTst;
-  if (c.h.xpdu.st) tag |= kTagXst;
+  if (h.conn.st) tag |= kTagCst;
+  if (h.tpdu.st) tag |= kTagTst;
+  if (h.xpdu.st) tag |= kTagXst;
   return tag;
 }
 
@@ -73,18 +73,72 @@ bool headers_equal_ignoring_st(const ChunkHeader& a, const ChunkHeader& b) {
          a.xpdu.id == b.xpdu.id && a.xpdu.sn == b.xpdu.sn;
 }
 
-void encode_full(ByteWriter& w, const Chunk& c,
+void encode_full(ByteWriter& w, const ChunkHeader& h,
                  const CompressionProfile& profile) {
-  const bool explicit_ids = !ids_derivable(c.h, profile);
-  w.u8(make_tag(c, /*full=*/true, explicit_ids));
-  if (!profile.elide_size) w.u16(c.h.size);
-  w.u16(c.h.len);
-  w.u32(c.h.conn.id);
-  w.u32(c.h.conn.sn);
-  if (!profile.implicit_tid || explicit_ids) w.u32(c.h.tpdu.id);
-  w.u32(c.h.tpdu.sn);
-  if (!profile.implicit_xid || explicit_ids) w.u32(c.h.xpdu.id);
-  w.u32(c.h.xpdu.sn);
+  const bool explicit_ids = !ids_derivable(h, profile);
+  w.u8(make_tag(h, /*full=*/true, explicit_ids));
+  if (!profile.elide_size) w.u16(h.size);
+  w.u16(h.len);
+  w.u32(h.conn.id);
+  w.u32(h.conn.sn);
+  if (!profile.implicit_tid || explicit_ids) w.u32(h.tpdu.id);
+  w.u32(h.tpdu.sn);
+  if (!profile.implicit_xid || explicit_ids) w.u32(h.xpdu.id);
+  w.u32(h.xpdu.sn);
+}
+
+template <typename ChunkT>
+std::vector<std::uint8_t> compress_packet_impl(
+    std::span<const ChunkT> chunks, const CompressionProfile& profile,
+    std::size_t capacity) {
+  // SIZE elision requires every chunk to use its TYPE's negotiated
+  // SIZE; a chunk that deviates is not representable in this profile.
+  // Checked before any byte is written, so a refused packet costs no
+  // payload copy.
+  if (profile.elide_size) {
+    for (const ChunkT& c : chunks) {
+      if (profile.size_by_type[static_cast<std::uint8_t>(c.h.type) & 7] !=
+          c.h.size) {
+        return {};
+      }
+    }
+  }
+  std::vector<std::uint8_t> out;
+  ByteWriter w(out);
+  w.u8(kCompressedPacketMagic);
+  w.u8(kPacketVersion);
+  w.u16(0);  // patched below
+
+  const ChunkHeader* prev = nullptr;
+  for (const ChunkT& c : chunks) {
+    bool cont = false;
+    if (profile.intra_packet_continuation && prev != nullptr) {
+      // Predict with the SIZE the decoder will infer (negotiated per
+      // TYPE, or carried over from the previous chunk) — CONT is legal
+      // only if that inference matches reality.
+      const std::uint16_t inferred_size =
+          profile.elide_size
+              ? profile.size_by_type[static_cast<std::uint8_t>(c.h.type) & 7]
+              : prev->size;
+      const ChunkHeader predicted = predict_continuation(
+          *prev, c.h.type, inferred_size, c.h.len, profile);
+      cont = headers_equal_ignoring_st(predicted, c.h);
+    }
+    if (cont) {
+      w.u8(make_tag(c.h, /*full=*/false, /*explicit_ids=*/false));
+      w.u16(c.h.len);
+    } else {
+      encode_full(w, c.h, profile);
+    }
+    w.bytes(c.payload);
+    prev = &c.h;
+  }
+
+  if (out.size() > capacity) return {};
+  const std::size_t length = out.size() - kPacketHeaderBytes;
+  out[2] = static_cast<std::uint8_t>(length >> 8);
+  out[3] = static_cast<std::uint8_t>(length);
+  return out;
 }
 
 }  // namespace
@@ -102,49 +156,13 @@ std::size_t compressed_header_size(const CompressionProfile& profile,
 std::vector<std::uint8_t> compress_packet(std::span<const Chunk> chunks,
                                           const CompressionProfile& profile,
                                           std::size_t capacity) {
-  std::vector<std::uint8_t> out;
-  ByteWriter w(out);
-  w.u8(kCompressedPacketMagic);
-  w.u8(kPacketVersion);
-  w.u16(0);  // patched below
+  return compress_packet_impl(chunks, profile, capacity);
+}
 
-  const ChunkHeader* prev = nullptr;
-  for (const Chunk& c : chunks) {
-    bool cont = false;
-    if (profile.intra_packet_continuation && prev != nullptr) {
-      // Predict with the SIZE the decoder will infer (negotiated per
-      // TYPE, or carried over from the previous chunk) — CONT is legal
-      // only if that inference matches reality.
-      const std::uint16_t inferred_size =
-          profile.elide_size
-              ? profile.size_by_type[static_cast<std::uint8_t>(c.h.type) & 7]
-              : prev->size;
-      const ChunkHeader predicted = predict_continuation(
-          *prev, c.h.type, inferred_size, c.h.len, profile);
-      cont = headers_equal_ignoring_st(predicted, c.h);
-    }
-    // SIZE elision requires the chunk to use its TYPE's negotiated
-    // SIZE; a chunk that deviates is not representable in this profile.
-    if (profile.elide_size &&
-        profile.size_by_type[static_cast<std::uint8_t>(c.h.type) & 7] !=
-            c.h.size) {
-      return {};
-    }
-    if (cont) {
-      w.u8(make_tag(c, /*full=*/false, /*explicit_ids=*/false));
-      w.u16(c.h.len);
-    } else {
-      encode_full(w, c, profile);
-    }
-    w.bytes(c.payload);
-    prev = &c.h;
-  }
-
-  if (out.size() > capacity) return {};
-  const std::size_t length = out.size() - kPacketHeaderBytes;
-  out[2] = static_cast<std::uint8_t>(length >> 8);
-  out[3] = static_cast<std::uint8_t>(length);
-  return out;
+std::vector<std::uint8_t> compress_packet(std::span<const ChunkView> chunks,
+                                          const CompressionProfile& profile,
+                                          std::size_t capacity) {
+  return compress_packet_impl(chunks, profile, capacity);
 }
 
 DecompressedPacket decompress_packet(std::span<const std::uint8_t> bytes,

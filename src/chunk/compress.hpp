@@ -59,9 +59,16 @@ struct CompressionProfile {
 /// part of link negotiation).
 inline constexpr std::uint8_t kCompressedPacketMagic = 0xC5;
 
-/// Encodes chunks into one compact packet. Returns empty vector if the
-/// encoded packet would exceed `capacity` (caller fragments first).
+/// Encodes chunks into one compact packet. Returns an empty vector if
+/// the encoded packet would exceed `capacity` (caller fragments first)
+/// or a chunk is not representable under `profile`.
 std::vector<std::uint8_t> compress_packet(std::span<const Chunk> chunks,
+                                          const CompressionProfile& profile,
+                                          std::size_t capacity);
+
+/// Same, from views (the sender's compress_wire step): payload is read
+/// straight from the borrowed spans.
+std::vector<std::uint8_t> compress_packet(std::span<const ChunkView> chunks,
                                           const CompressionProfile& profile,
                                           std::size_t capacity);
 

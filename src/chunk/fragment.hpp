@@ -30,7 +30,7 @@ std::pair<Chunk, Chunk> split_chunk(const Chunk& c, std::uint16_t head_len);
 /// The Appendix-C split on a non-owning view, which every other split
 /// here adapts: the payload halves are SUBSPANS of the original — no
 /// payload byte moves. This is what makes splitting free on the
-/// gather-encode packing path: fragmentation is header math.
+/// transmit packing path (pack_views): fragmentation is header math.
 std::pair<ChunkView, ChunkView> split_view(const ChunkView& v,
                                            std::uint16_t head_len);
 

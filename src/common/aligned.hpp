@@ -1,7 +1,7 @@
 // PacketBytes — a 64-byte-aligned byte buffer for packet storage.
 //
-// The SIMD kernels (PCLMUL GF(2^32), sliced WSC-2) and the gather-encode
-// transmit path read payload spans straight out of packet buffers.
+// The SIMD kernels (PCLMUL GF(2^32), sliced WSC-2) and the packet encoder
+// read and write payload spans straight in packet buffers.
 // `std::vector<std::uint8_t>` only promises `alignof(std::max_align_t)`
 // (16 on glibc), so cache-line-aligned loads would be relying on
 // allocator luck. PacketBytes is the packet-byte currency instead: its
@@ -12,7 +12,7 @@
 // capacity is retained by clear(), amortized push_back) and converts
 // implicitly BOTH ways with `std::vector<std::uint8_t>` — by copy. That
 // keeps the long tail of tests, examples, and relay helpers compiling
-// unchanged; the hot paths (sender gather encode, receiver view decode,
+// unchanged; the hot paths (sender view encode, receiver view decode,
 // PacketBufferPool recycling) are written against PacketBytes natively,
 // so they move storage and never hit the converting copies.
 #pragma once

@@ -63,7 +63,7 @@ PooledBuffer PacketBufferPool::acquire() {
   if (storage.capacity() == 0) storage.reserve(buffer_capacity_);
   storage.clear();
   // The whole point of PacketBytes-backed storage: SIMD kernels and the
-  // gather TX path may assume cache-line alignment of pooled packets.
+  // transmit encoder may assume cache-line alignment of pooled packets.
   assert(is_packet_aligned(storage.data()));
   return PooledBuffer(this, std::move(storage));
 }

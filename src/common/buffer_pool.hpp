@@ -28,7 +28,7 @@
 //
 // Buffers are `PacketBytes` (src/common/aligned.hpp): every allocation
 // the pool hands out starts on a 64-byte boundary, so the SIMD kernels
-// and the gather-encode TX path can assume cache-line-aligned packet
+// and the transmit encoder can assume cache-line-aligned packet
 // storage instead of allocator luck. acquire() asserts the alignment.
 //
 // Thread-safe (one mutex; the pool is not on the per-word hot path —

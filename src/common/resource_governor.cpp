@@ -4,18 +4,6 @@
 
 namespace chunknet {
 
-const char* shed_policy_name(ShedPolicy p) {
-  switch (p) {
-    case ShedPolicy::kLargestHolderFirst:
-      return "largest-holder-first";
-    case ShedPolicy::kPriorityWeighted:
-      return "priority-weighted";
-    case ShedPolicy::kOldestFirst:
-      return "oldest-first";
-  }
-  return "?";
-}
-
 ResourceGovernor::ResourceGovernor(GovernorConfig cfg) : cfg_(cfg) {
   if (cfg_.obs != nullptr && cfg_.obs->metrics != nullptr) {
     MetricsRegistry& m = *cfg_.obs->metrics;

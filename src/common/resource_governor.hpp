@@ -50,8 +50,6 @@ enum class ShedPolicy : std::uint8_t {
   kOldestFirst = 2,         ///< earliest-registered client pays first
 };
 
-const char* shed_policy_name(ShedPolicy p);
-
 struct GovernorConfig {
   std::uint64_t soft_watermark_bytes{3 * 1024 * 1024 / 4};
   std::uint64_t hard_watermark_bytes{1024 * 1024};

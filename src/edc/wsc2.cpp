@@ -65,7 +65,7 @@ void Wsc2Accumulator::add_words(std::uint32_t pos,
   // The scalar loop's `horner = α·horner ⊕ d` is a serial dependency
   // chain, so it runs at the ×α latency per word no matter how wide
   // the core is. The run of whole words therefore goes through the
-  // dispatched kernel (src/edc/wsc2_kernels.hpp): slice-by-4/8 Horner
+  // dispatched kernel (src/edc/wsc2_kernels.hpp): slice-by-8 Horner
   // chains on portable hardware, 16-word unreduced SIMD groups on
   // AVX2+PCLMUL machines — all computing the exact same pair
   //     x = ⊕ d_w,   h = Σ α^w ⊗ d_w

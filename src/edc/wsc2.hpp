@@ -74,12 +74,6 @@ class Wsc2Accumulator {
   /// baseline for bench E10's scalar-vs-sliced comparison.
   void add_words_scalar(std::uint32_t pos, std::span<const std::uint8_t> bytes);
 
-  /// Removes a previously added symbol (add is an involution in GF(2),
-  /// so absorb again). Used by duplicate-rejection rollback paths.
-  void remove_symbol(std::uint32_t pos, std::uint32_t value) {
-    add_symbol(pos, value);
-  }
-
   /// Merges another accumulator (over a disjoint or identical-twice set
   /// of positions) into this one.
   void combine(const Wsc2Accumulator& other) {

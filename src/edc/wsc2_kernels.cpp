@@ -44,58 +44,15 @@ RunSum run_scalar(const std::uint8_t* base, std::size_t words) {
   return rs;
 }
 
-RunSum run_sliced4(const std::uint8_t* base, std::size_t words) {
-  // Split the word sequence by index mod 4:
-  //     h = Σ_w α^w·d_w = Σ_{r<4} α^r · H_r,  H_r = Σ_q (α⁴)^q·d_{4q+r}
-  // Each H_r is its own Horner chain in α⁴ (one shift + one 16-entry
-  // table fold per step), and the four chains are independent — the
-  // CPU overlaps them, retiring ~4 words per chain-step latency.
-  const std::size_t groups = words / 4;
-  if (groups < 2) return run_scalar(base, words);
-
-  RunSum rs;
-  const std::size_t rem_start = groups * 4;
-  const std::uint32_t rem = remainder_chain(base, rem_start, words, rs);
-
-  std::uint32_t h0 = 0, h1 = 0, h2 = 0, h3 = 0;
-  std::uint32_t x0 = 0, x1 = 0, x2 = 0, x3 = 0;
-  for (std::size_t g = groups; g-- > 0;) {
-    const std::uint8_t* p = base + g * 16;
-    const std::uint32_t d0 = load_be32(p);
-    const std::uint32_t d1 = load_be32(p + 4);
-    const std::uint32_t d2 = load_be32(p + 8);
-    const std::uint32_t d3 = load_be32(p + 12);
-    x0 ^= d0;
-    x1 ^= d1;
-    x2 ^= d2;
-    x3 ^= d3;
-    h0 = gf32::times_alpha4(h0) ^ d0;
-    h1 = gf32::times_alpha4(h1) ^ d1;
-    h2 = gf32::times_alpha4(h2) ^ d2;
-    h3 = gf32::times_alpha4(h3) ^ d3;
-  }
-  rs.x ^= x0 ^ x1 ^ x2 ^ x3;
-
-  // h = H_0 ⊕ α·H_1 ⊕ α²·H_2 ⊕ α³·H_3, then the remainder at its true
-  // offset.
-  rs.h = h0 ^ gf32::times_alpha(h1) ^
-         gf32::times_alpha(gf32::times_alpha(h2)) ^
-         gf32::times_alpha(gf32::times_alpha(gf32::times_alpha(h3)));
-  if (rem != 0) {
-    rs.h ^= gf32::mul(gf32::PowerLadder::shared().alpha_pow(
-                          static_cast<std::uint32_t>(rem_start)),
-                      rem);
-  }
-  return rs;
-}
-
 RunSum run_sliced8(const std::uint8_t* base, std::size_t words) {
-  // Same slicing idea widened to eight chains stepped by α⁸: each step
-  // is one shift + one 256-entry fold (gf32::times_alpha8), and eight
-  // independent chains cover a 32-byte stride per iteration — twice
-  // the work per chain-step latency of slice-by-4.
+  // Split the word sequence by index mod 8:
+  //     h = Σ_w α^w·d_w = Σ_{r<8} α^r · H_r,  H_r = Σ_q (α⁸)^q·d_{8q+r}
+  // Each H_r is its own Horner chain in α⁸ (one shift + one 256-entry
+  // table fold per step, gf32::times_alpha8), and the eight chains are
+  // independent — the CPU overlaps them, covering a 32-byte stride per
+  // chain-step latency. Runs under two groups take the scalar chain.
   const std::size_t groups = words / 8;
-  if (groups < 2) return run_sliced4(base, words);
+  if (groups < 2) return run_scalar(base, words);
 
   RunSum rs;
   const std::size_t rem_start = groups * 8;
@@ -143,7 +100,6 @@ KernelFn dispatch() {
 std::span<const NamedKernel> available_kernels() {
   static const std::vector<NamedKernel> kernels = [] {
     std::vector<NamedKernel> v{{"scalar", &run_scalar},
-                               {"sliced4", &run_sliced4},
                                {"sliced8", &run_sliced8}};
     if (KernelFn fn = native_kernel()) v.push_back({native_kernel_name(), fn});
     return v;

@@ -9,7 +9,7 @@
 //                             one multiply by α^pos)
 //
 // Both outputs are elements of GF(2^32), so every kernel — scalar
-// chain, slice-by-4/8, or the AVX2+PCLMUL 16-word groups — produces
+// chain, slice-by-8, or the AVX2+PCLMUL 16-word groups — produces
 // bit-identical results; the scalar chain is the oracle the others are
 // differential-tested against (tests/test_wsc2.cpp, chaos fuzzers).
 //
@@ -35,10 +35,6 @@ using KernelFn = RunSum (*)(const std::uint8_t* base, std::size_t words);
 /// Word-at-a-time Horner chain: one ×α per word. The oracle.
 RunSum run_scalar(const std::uint8_t* base, std::size_t words);
 
-/// Four independent Horner chains stepped by α⁴ (the historical
-/// default; kept as the bench baseline the ISSUE's ≥1.5x is against).
-RunSum run_sliced4(const std::uint8_t* base, std::size_t words);
-
 /// Eight independent Horner chains stepped by α⁸ — portable widened
 /// kernel (one shift + one 256-entry table fold per chain step).
 RunSum run_sliced8(const std::uint8_t* base, std::size_t words);
@@ -52,12 +48,12 @@ const char* native_kernel_name();
 /// The kernel add_words dispatches to (cached after first call).
 KernelFn dispatch();
 
-/// Name of the dispatched kernel: "scalar", "sliced4", "sliced8", or
+/// Name of the dispatched kernel: "scalar", "sliced8", or
 /// the native kernel's name ("clmul16"). Recorded in BENCH_*.json.
 const char* selected_kernel_name();
 
 /// Every kernel runnable on this machine, for bench tables and
-/// differential tests: always scalar/sliced4/sliced8, plus the native
+/// differential tests: always scalar/sliced8, plus the native
 /// kernel when the CPU supports it (independent of FORCE_SCALAR —
 /// that pin affects dispatch(), not availability).
 struct NamedKernel {

@@ -66,30 +66,9 @@ constexpr std::uint32_t times_alpha(std::uint32_t a) {
   return (a << 1) ^ (carry * kReduction);
 }
 
-/// Precomputed fold products for multiplication by α⁴ = x⁴: shifting a
-/// 32-bit polynomial left by 4 overflows its top 4 bits past x^32, and
-/// x^32 ≡ kReduction, so the overflow h contributes h ⊗ kReduction —
-/// degree ≤ 3 + 7 = 10, already reduced. One table load folds all four
-/// carry bits at once, which is what lets the WSC-2 slice-by-4 kernel
-/// advance a Horner chain four word positions per step.
-inline constexpr std::array<std::uint32_t, 16> kAlpha4Fold = [] {
-  std::array<std::uint32_t, 16> t{};
-  for (std::uint32_t h = 0; h < 16; ++h) {
-    t[h] = static_cast<std::uint32_t>(clmul(h, kReduction));
-  }
-  return t;
-}();
-
-/// Multiplication by α⁴: one shift and one 16-entry table fold.
-/// Equivalent to four times_alpha steps (verified by tests) but a
-/// single-instruction dependency chain, so four independent Horner
-/// accumulators can each take a whole 4-word stride per loop iteration.
-constexpr std::uint32_t times_alpha4(std::uint32_t a) {
-  return (a << 4) ^ kAlpha4Fold[a >> 28];
-}
-
-/// 256-entry fold table: kAlpha8Fold[h] = h ⊗ kReduction for the 8-bit
-/// overflow h of a left-shift past x^32. Degree ≤ 7 + 7 = 14, already
+/// 256-entry fold table: shifting a 32-bit polynomial left by 8
+/// overflows its top 8 bits h past x^32, and x^32 ≡ kReduction, so
+/// kAlpha8Fold[h] = h ⊗ kReduction. Degree ≤ 7 + 7 = 14, already
 /// reduced. 1 KiB — lives comfortably in L1 next to the data stream.
 inline constexpr std::array<std::uint32_t, 256> kAlpha8Fold = [] {
   std::array<std::uint32_t, 256> t{};

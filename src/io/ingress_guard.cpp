@@ -114,10 +114,6 @@ void IngressGuard::remember_refusal(std::uint32_t conn, SimTime now) {
   ++stats_.refusals_remembered;
 }
 
-void IngressGuard::forget_refusal(std::uint32_t conn) {
-  refused_.erase(conn);
-}
-
 bool IngressGuard::is_refused(std::uint32_t conn, SimTime now) const {
   const RefusedEntry* e = refused_.find(conn);
   return e != nullptr && now < e->expires_at;

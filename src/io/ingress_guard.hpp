@@ -86,8 +86,6 @@ class IngressGuard {
   /// dropped at the door until the TTL lapses. Bounded: when full, the
   /// stalest entry is evicted.
   void remember_refusal(std::uint32_t conn, SimTime now);
-  /// Forgets a refusal (e.g. the connection was re-admitted).
-  void forget_refusal(std::uint32_t conn);
   bool is_refused(std::uint32_t conn, SimTime now) const;
 
   struct Stats {
@@ -104,7 +102,6 @@ class IngressGuard {
     std::uint64_t refusals_evicted{0};
   };
   const Stats& stats() const { return stats_; }
-  std::size_t tracked_sources() const { return buckets_.size(); }
   std::size_t refused_size() const { return refused_.size(); }
 
  private:

@@ -1,6 +1,5 @@
 #include "src/pipeline/stages.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -91,56 +90,6 @@ ProcessResult integrated_process(std::uint32_t pos,
   r.passes = 1;
   r.code = {p0, gf32::mul(gf32::PowerLadder::shared().alpha_pow(pos), horner)};
   return r;
-}
-
-namespace {
-
-// Shared per-chunk walk for the two view-based paths: `process` is
-// called as process(word_pos, payload, destination_subspan).
-template <typename Fn>
-ProcessResult process_views(std::span<const ChunkView> chunks,
-                            std::span<std::uint8_t> app,
-                            std::uint32_t first_conn_sn, Fn&& process) {
-  ProcessResult total;
-  for (const ChunkView& c : chunks) {
-    if (c.h.type != ChunkType::kData || c.h.size % 4 != 0) continue;
-    const std::uint64_t off =
-        static_cast<std::uint64_t>(c.h.conn.sn - first_conn_sn) * c.h.size;
-    if (off + c.payload.size() > app.size()) continue;
-    const auto pos = static_cast<std::uint32_t>(off / 4);
-    const ProcessResult r =
-        process(pos, c.payload, app.subspan(off, c.payload.size()));
-    total.code.p0 ^= r.code.p0;
-    total.code.p1 ^= r.code.p1;
-    total.bytes_read += r.bytes_read;
-    total.bytes_written += r.bytes_written;
-    total.passes = std::max(total.passes, r.passes);
-  }
-  return total;
-}
-
-}  // namespace
-
-ProcessResult integrated_process_views(std::span<const ChunkView> chunks,
-                                       std::span<std::uint8_t> app,
-                                       std::uint32_t first_conn_sn,
-                                       const XorCipherStage& cipher) {
-  return process_views(chunks, app, first_conn_sn,
-                       [&](std::uint32_t pos, std::span<const std::uint8_t> in,
-                           std::span<std::uint8_t> out) {
-                         return integrated_process(pos, in, out, cipher);
-                       });
-}
-
-ProcessResult layered_process_views(std::span<const ChunkView> chunks,
-                                    std::span<std::uint8_t> app,
-                                    std::uint32_t first_conn_sn,
-                                    const XorCipherStage& cipher) {
-  return process_views(chunks, app, first_conn_sn,
-                       [&](std::uint32_t pos, std::span<const std::uint8_t> in,
-                           std::span<std::uint8_t> out) {
-                         return layered_process(pos, in, out, cipher);
-                       });
 }
 
 }  // namespace chunknet

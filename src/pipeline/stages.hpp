@@ -27,7 +27,6 @@
 #include <span>
 #include <vector>
 
-#include "src/chunk/types.hpp"
 #include "src/edc/wsc2.hpp"
 
 namespace chunknet {
@@ -77,28 +76,5 @@ ProcessResult integrated_process(std::uint32_t pos,
                                  std::span<const std::uint8_t> in,
                                  std::span<std::uint8_t> out,
                                  const XorCipherStage& cipher);
-
-/// ILP straight off the wire: runs the integrated loop on each data
-/// chunk view of a parsed packet (decode_packet_views), deciphering and
-/// checksumming while placing the payload at its C.SN offset in `app`.
-/// The packet buffer is read once and application memory written once —
-/// no intermediate materialization at all. Word positions (cipher key
-/// and WSC-2 alike) are stream-absolute:
-/// (C.SN − first_conn_sn)·SIZE/4 + word. Chunks the pipeline cannot
-/// process (non-data TYPE, SIZE % 4 != 0, or placement outside `app`)
-/// are skipped. The combined code is the XOR of the per-chunk codes
-/// (WSC-2's combine property), so it is independent of chunk order.
-ProcessResult integrated_process_views(std::span<const ChunkView> chunks,
-                                       std::span<std::uint8_t> app,
-                                       std::uint32_t first_conn_sn,
-                                       const XorCipherStage& cipher);
-
-/// Conventional-layering counterpart over the same views (one copy
-/// pass, one decipher pass, one checksum pass per chunk), for the
-/// bus-crossing comparison in bench E10.
-ProcessResult layered_process_views(std::span<const ChunkView> chunks,
-                                    std::span<std::uint8_t> app,
-                                    std::uint32_t first_conn_sn,
-                                    const XorCipherStage& cipher);
 
 }  // namespace chunknet

@@ -404,7 +404,7 @@ void ChunkDemultiplexer::on_packet(SimPacket pkt) {
         if (control_ == nullptr) break;
         ++control_chunks_routed_;
         SimPacket wrapped;
-        encode_packet_into(std::vector<Chunk>{v.to_chunk()}, 65535,
+        encode_packet_into(std::span<const ChunkView>(&v, 1), 65535,
                            wrapped.bytes);
         wrapped.id = pkt.id;
         wrapped.created_at = pkt.created_at;

@@ -69,8 +69,6 @@ class TpduInvariant {
 
   Wsc2Code value() const { return acc_.value(); }
 
-  std::uint32_t data_region_symbols() const { return cfg_.max_data_symbols; }
-
  private:
   void encode_symbol(std::uint32_t pos, std::uint32_t v) {
     // Zero-valued symbols are the identity — unused positions are

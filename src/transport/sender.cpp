@@ -317,40 +317,46 @@ std::optional<ChunkView> slice_view(const ChunkView& v, std::uint64_t lo,
 }  // namespace
 
 void ChunkTransportSender::send_chunk_views(std::span<const ChunkView> views) {
-  const GatherResult packed = gather_packetize(views, {.mtu = cfg_.mtu});
-  for (const GatherPacket& gp : packed.packets) {
-    // Linearization is the scatter-gather DMA analogue at the network
-    // handoff — the sender itself copied no payload bytes.
-    PacketBytes pkt = gp.linearize();
-    if (cfg_.compress_wire) {
-      // Re-encode the packet in the compact negotiated syntax, payload
-      // included; the compressed form is never larger, and
-      // unrepresentable chunks fall back to the canonical envelope
-      // (both parse at the peer).
-      const ParsedPacket parsed = decode_packet(pkt);
-      auto compact = compress_packet(parsed.chunks, *cfg_.compress_wire,
-                                     cfg_.mtu);
-      if (!compact.empty()) pkt = compact;
-      stats_.tx_bytes_copied += gp.borrowed_payload_bytes;
-      obs_add(m_.tx_bytes_copied, gp.borrowed_payload_bytes);
-    } else {
-      stats_.tx_gather_bytes += gp.borrowed_payload_bytes;
-      obs_add(m_.tx_gather_bytes, gp.borrowed_payload_bytes);
+  pack_views(views, {.mtu = cfg_.mtu},
+             [this](std::span<const ChunkView> packet) { send_one(packet); });
+}
+
+void ChunkTransportSender::send_one(std::span<const ChunkView> packet) {
+  std::uint64_t payload = 0;
+  for (const ChunkView& v : packet) payload += v.payload.size();
+  PacketBytes pkt;
+  if (cfg_.compress_wire) {
+    // The compact negotiated syntax, encoded from the views: one copy
+    // into compress_packet's vector, one into aligned storage. It is
+    // never larger than the canonical envelope; a chunk the profile
+    // cannot represent leaves the packet canonical (both parse at
+    // the peer).
+    const auto compact =
+        compress_packet(packet, *cfg_.compress_wire, cfg_.mtu);
+    if (!compact.empty()) {
+      pkt = compact;
+      stats_.tx_bytes_copied += 2 * payload;
+      obs_add(m_.tx_bytes_copied, 2 * payload);
     }
-    stats_.bytes_sent += pkt.size();
-    ++stats_.packets_sent;
-    obs_add(m_.packets_sent);
-    obs_add(m_.bytes_sent, pkt.size());
-    if (cfg_.obs != nullptr && cfg_.obs->tracer != nullptr) {
-      TraceEvent e;
-      e.t = clock_.now();
-      e.kind = TraceEventKind::kPacketized;
-      e.site = cfg_.obs_site;
-      e.aux = pkt.size();
-      cfg_.obs->tracer->record(e);
-    }
-    if (cfg_.send_packet) cfg_.send_packet(std::move(pkt));
   }
+  if (pkt.empty()) {
+    encode_packet_into(packet, cfg_.mtu, pkt);
+    stats_.tx_gather_bytes += payload;
+    obs_add(m_.tx_gather_bytes, payload);
+  }
+  stats_.bytes_sent += pkt.size();
+  ++stats_.packets_sent;
+  obs_add(m_.packets_sent);
+  obs_add(m_.bytes_sent, pkt.size());
+  if (cfg_.obs != nullptr && cfg_.obs->tracer != nullptr) {
+    TraceEvent e;
+    e.t = clock_.now();
+    e.kind = TraceEventKind::kPacketized;
+    e.site = cfg_.obs_site;
+    e.aux = pkt.size();
+    cfg_.obs->tracer->record(e);
+  }
+  if (cfg_.send_packet) cfg_.send_packet(std::move(pkt));
 }
 
 void ChunkTransportSender::handle_gap_nak(const Chunk& signal) {

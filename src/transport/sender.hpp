@@ -5,9 +5,10 @@
 // attaches it as an ED control chunk (Figure 3), packetizes to the
 // first-hop MTU, and handles error control: per-TPDU ACK/NAK plus a
 // retransmission timer. Every transmission (first send, resend, GapNak
-// slice) gathers views of the pending TPDU's chunks, copying no payload
-// byte unless compress_wire re-encodes it; repacking policies (Figure
-// 4) belong to relays. Retransmitted data reuses the ORIGINAL
+// slice) packs views of the pending TPDU's chunks with pack_views and
+// encodes each packet's views straight into its wire buffer, the one
+// payload copy (the NIC-DMA analogue); compress_wire is the only step
+// that copies more. Repacking policies (Figure 4) belong to relays. Retransmitted data reuses the ORIGINAL
 // identifiers (§3.3: "retransmitted data should use the same
 // identifiers as the originally transmitted data"), so late duplicates
 // of the first transmission are recognized and rejected by the
@@ -25,7 +26,6 @@
 
 #include "src/chunk/builder.hpp"
 #include "src/chunk/compress.hpp"
-#include "src/chunk/gather.hpp"
 #include "src/chunk/packetizer.hpp"
 #include "src/common/runtime.hpp"
 #include "src/obs/obs.hpp"
@@ -57,9 +57,9 @@ struct SenderConfig {
   bool selective_retransmit{false};
   /// When set, packets leave in the compact Appendix-A syntax under
   /// this (signalled) profile instead of the canonical fixed-field
-  /// syntax: each linearized packet is re-encoded, payload included
-  /// (counted in stats().tx_bytes_copied). Falls back to canonical per
-  /// packet if a chunk is not representable under the profile.
+  /// syntax: each packet's views are compressed, payload included (both
+  /// copies counted in stats().tx_bytes_copied). Falls back to canonical
+  /// per packet if a chunk is not representable under the profile.
   std::optional<CompressionProfile> compress_wire;
   /// Credit-based end-to-end flow control (docs/ROBUSTNESS.md,
   /// "Overload control"). When enabled, framed TPDUs wait in a send
@@ -82,8 +82,8 @@ struct SenderConfig {
   };
   FlowControlConfig flow{};
   /// Transmit a packet body into the network (first hop). Bodies are
-  /// PacketBytes (64-byte aligned) so pooled/gathered packets travel
-  /// without re-copying.
+  /// PacketBytes (64-byte aligned) so encoded packets travel without
+  /// re-copying.
   std::function<void(PacketBytes)> send_packet;
   /// Observability (optional). Metric names are prefixed "sender.".
   ObsContext* obs{nullptr};
@@ -139,12 +139,13 @@ class ChunkTransportSender final : public PacketSink {
     std::uint64_t gap_naks_honoured{0};
     std::uint64_t selective_retx_elements{0};
     std::uint64_t retx_payload_bytes{0};  ///< payload resent (any kind)
-    /// Payload bytes COPIED during sender-side packet assembly: only
-    /// the compress_wire re-encoding copies. Zero otherwise — the
-    /// zero-copy proof the lossy-link retransmission test pins.
+    /// Payload bytes COPIED beyond the one wire-buffer encode: only
+    /// compress_wire copies (into its vector, then into aligned
+    /// storage). Zero otherwise — the proof the lossy-link
+    /// retransmission test pins.
     std::uint64_t tx_bytes_copied{0};
-    /// Payload bytes transmitted by reference through gather segments
-    /// (canonical syntax; linearization is the NIC DMA analogue).
+    /// Payload bytes encoded from the pending store straight into
+    /// canonical wire buffers (the one copy, the NIC-DMA analogue).
     std::uint64_t tx_gather_bytes{0};
     /// Adaptive-RTO bookkeeping: RTT samples fed to the estimator,
     /// samples discarded by Karn's rule, and timeout backoffs.
@@ -197,10 +198,12 @@ class ChunkTransportSender final : public PacketSink {
   /// An admitted TPDU left outstanding_ (acked or abandoned).
   void on_tpdu_retired(const PendingTpdu& p);
   void publish_flow_gauges();
-  /// The one transmit path: gather-packetizes views over chunks owned
-  /// by the pending store and hands linearized bodies, compressed if
-  /// configured, to send_packet.
+  /// The one transmit path: packs views over chunks owned by the
+  /// pending store and hands each packet's views to send_one.
   void send_chunk_views(std::span<const ChunkView> views);
+  /// Encodes one packet's views, compressed if configured, straight
+  /// into the body it hands to send_packet.
+  void send_one(std::span<const ChunkView> packet);
   void trace_chunk(TraceEventKind kind, const ChunkHeader& h,
                    std::uint64_t aux = 0) const;
   void span(SpanEventKind kind, std::uint32_t tpdu_id,

@@ -1,12 +1,17 @@
 // Property tests for the zero-copy packet decoder: decode_packet_views
-// must agree with decode_packet byte-for-byte — same accept/reject
-// decision, same headers, same payload bytes — across randomized,
-// truncated, and corrupted packets, and its views must always point
-// inside the source span (never dangle past it).
+// (and decode_packet, its owning adapter) must agree byte-for-byte with
+// an independent reference — the envelope checks written in this file
+// plus a decode_chunk_view loop — on the accept/reject decision, the
+// headers and the payload bytes, across randomized, truncated, and
+// corrupted packets; its views must always point inside the source
+// span (never dangle past it).
 #include "src/chunk/codec.hpp"
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "src/common/bytes.hpp"
 #include "src/common/rng.hpp"
 
 namespace chunknet {
@@ -36,26 +41,64 @@ std::vector<std::uint8_t> random_packet(Rng& rng) {
   return encode_packet(chunks, 1 << 20);
 }
 
-/// The property under test: both decoders make the same decision, and
-/// when they accept, produce identical chunks; every view stays inside
-/// `bytes`.
+/// Independent reference decoder: the envelope checks written out here
+/// over a ByteReader, then a loop over decode_chunk_view — the
+/// bounds-checked reader path, which shares no code with
+/// decode_packet_views's pointer walk. nullopt = reject.
+std::optional<std::vector<ChunkView>> reference_decode(
+    std::span<const std::uint8_t> bytes) {
+  ByteReader r(bytes);
+  const std::uint8_t magic = r.u8();
+  const std::uint8_t version = r.u8();
+  const std::uint16_t length = r.u16();
+  if (!r.ok() || magic != kPacketMagic || version != kPacketVersion ||
+      length != r.remaining()) {
+    return std::nullopt;
+  }
+  std::vector<ChunkView> out;
+  for (;;) {
+    ChunkView v;
+    switch (decode_chunk_view(r, v)) {
+      case DecodeStatus::kOk:
+        out.push_back(v);
+        break;
+      case DecodeStatus::kTerminator:
+      case DecodeStatus::kEnd:
+        return out;
+      case DecodeStatus::kError:
+        return std::nullopt;
+    }
+  }
+}
+
+/// The property under test: decode_packet_views and decode_packet make
+/// the reference's accept/reject decision, and when they accept,
+/// produce its chunks exactly; every view stays inside `bytes`.
 void expect_agreement(std::span<const std::uint8_t> bytes) {
+  const auto want = reference_decode(bytes);
   const ParsedPacket owned = decode_packet(bytes);
   std::vector<ChunkView> views;
   const bool views_ok = decode_packet_views(bytes, views);
 
-  ASSERT_EQ(owned.ok, views_ok);
+  ASSERT_EQ(views_ok, want.has_value());
+  ASSERT_EQ(owned.ok, want.has_value());
   if (!views_ok) {
     EXPECT_TRUE(views.empty());
     return;
   }
-  ASSERT_EQ(views.size(), owned.chunks.size());
+  ASSERT_EQ(views.size(), want->size());
+  ASSERT_EQ(owned.chunks.size(), want->size());
   const std::uint8_t* lo = bytes.data();
   const std::uint8_t* hi = bytes.data() + bytes.size();
   for (std::size_t i = 0; i < views.size(); ++i) {
-    EXPECT_EQ(views[i].h, owned.chunks[i].h);
-    ASSERT_EQ(views[i].payload.size(), owned.chunks[i].payload.size());
-    EXPECT_TRUE(std::equal(views[i].payload.begin(), views[i].payload.end(),
+    const ChunkView& ref = (*want)[i];
+    EXPECT_EQ(views[i].h, ref.h);
+    EXPECT_EQ(owned.chunks[i].h, ref.h);
+    ASSERT_EQ(views[i].payload.size(), ref.payload.size());
+    ASSERT_EQ(owned.chunks[i].payload.size(), ref.payload.size());
+    EXPECT_TRUE(std::equal(ref.payload.begin(), ref.payload.end(),
+                           views[i].payload.begin()));
+    EXPECT_TRUE(std::equal(ref.payload.begin(), ref.payload.end(),
                            owned.chunks[i].payload.begin()));
     if (!views[i].payload.empty()) {
       EXPECT_GE(views[i].payload.data(), lo);
@@ -81,6 +124,13 @@ TEST(CodecViews, AgreesOnTruncatedPackets) {
     const std::size_t cut = rng.below(packet.size() + 1);
     packet.resize(cut);
     expect_agreement(packet);
+    // The same tail with the envelope length patched to match, so the
+    // chunk walk itself meets the cut mid-header or mid-payload.
+    if (cut >= kPacketHeaderBytes) {
+      packet[2] = static_cast<std::uint8_t>((cut - kPacketHeaderBytes) >> 8);
+      packet[3] = static_cast<std::uint8_t>(cut - kPacketHeaderBytes);
+      expect_agreement(packet);
+    }
   }
 }
 

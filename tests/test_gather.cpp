@@ -1,11 +1,10 @@
-// Tests for the gather-encode packing loop: byte-for-byte parity with
-// the materializing encoder and with packetize's copy-out (including
+// Tests for the sender's transmit step (pack_views, then each packet's
+// views encoded straight into its wire buffer): byte-for-byte parity
+// with an independent ByteWriter envelope and with packetize (including
 // fragmented chunks and wraparound SNs), view splitting, and the
-// sender-level zero-copy guarantee — retransmission of an unacked TPDU
-// copies no payload bytes (sender.tx_bytes_copied stays flat on a lossy
-// link); only compress_wire's re-encoding copies.
-#include "src/chunk/gather.hpp"
-
+// sender-level accounting — retransmission of an unacked TPDU copies
+// each payload byte once, into the wire buffer (sender.tx_bytes_copied
+// stays flat on a lossy link); only compress_wire copies more.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +15,8 @@
 #include "src/chunk/codec.hpp"
 #include "src/chunk/compress.hpp"
 #include "src/chunk/fragment.hpp"
+#include "src/chunk/packetizer.hpp"
+#include "src/common/bytes.hpp"
 #include "src/common/rng.hpp"
 #include "src/netsim/link.hpp"
 #include "src/netsim/router.hpp"
@@ -49,6 +50,45 @@ std::vector<ChunkView> views_of(const std::vector<Chunk>& chunks) {
   return v;
 }
 
+// Independent reference for the canonical envelope: magic, version,
+// big-endian body length, every chunk through the ByteWriter
+// encode_chunk, then the terminator when space remains.
+std::vector<std::uint8_t> reference_packet(const std::vector<Chunk>& chunks,
+                                           std::size_t capacity) {
+  std::vector<std::uint8_t> body;
+  ByteWriter w(body);
+  for (const Chunk& c : chunks) encode_chunk(w, c);
+  const std::size_t used = kPacketHeaderBytes + body.size();
+  if (used > capacity) return {};
+  if (used < capacity) w.u8(static_cast<std::uint8_t>(ChunkType::kTerminator));
+  std::vector<std::uint8_t> out{kPacketMagic, kPacketVersion};
+  ByteWriter(out).u16(static_cast<std::uint16_t>(body.size()));
+  out.insert(out.end(), body.begin(), body.end());
+  return out;
+}
+
+/// The sender's transmit step, outside the sender: pack_views, then
+/// each packet's views encoded straight into its wire buffer.
+struct Encoded {
+  std::vector<PacketBytes> packets;
+  std::uint64_t wire_bytes{0};
+  std::uint64_t payload_bytes{0};
+  std::uint64_t splits{0};
+};
+
+Encoded pack_and_encode(const std::vector<Chunk>& chunks,
+                        const PacketizerOptions& opts) {
+  Encoded e;
+  const std::vector<ChunkView> views = views_of(chunks);
+  e.splits = pack_views(views, opts, [&](std::span<const ChunkView> packet) {
+    PacketBytes& bytes = e.packets.emplace_back();
+    EXPECT_TRUE(encode_packet_into(packet, opts.mtu, bytes));
+    e.wire_bytes += bytes.size();
+    for (const ChunkView& v : packet) e.payload_bytes += v.payload.size();
+  });
+  return e;
+}
+
 TEST(Gather, EncodePacketMatchesMaterializingEncoder) {
   Rng rng(1);
   std::vector<Chunk> chunks;
@@ -56,27 +96,21 @@ TEST(Gather, EncodePacketMatchesMaterializingEncoder) {
   chunks.push_back(make_data_chunk(rng, 5, 16, 4, 3, true));
   chunks.push_back(make_data_chunk(rng, 5, 100, 1, 7));
 
-  const std::size_t body = packed_size(chunks);
+  std::size_t body = kPacketHeaderBytes;
+  for (const Chunk& c : chunks) body += kChunkHeaderBytes + c.payload.size();
+  const std::vector<ChunkView> views = views_of(chunks);
   // Terminator present (body < capacity), absent (==), and overflow.
-  for (const std::size_t capacity : {body + 100, body + 1, body}) {
-    const auto flat = encode_packet(chunks, capacity);
-    const GatherPacket gp = gather_encode_packet(views_of(chunks), capacity);
-    ASSERT_EQ(gp.wire_size, flat.size());
-    const PacketBytes lin = gp.linearize();
-    ASSERT_TRUE(std::equal(flat.begin(), flat.end(), lin.data()));
+  for (const std::size_t capacity : {body + 100, body + 1, body, body - 1}) {
+    const auto want = reference_packet(chunks, capacity);
+    ASSERT_EQ(want.empty(), capacity < body);
+    PacketBytes aligned;
+    EXPECT_EQ(encode_packet_into(views, capacity, aligned), !want.empty());
+    EXPECT_EQ(aligned, want) << "capacity " << capacity;
+    std::vector<std::uint8_t> flat;
+    EXPECT_EQ(encode_packet_into(views, capacity, flat), !want.empty());
+    EXPECT_EQ(flat, want) << "capacity " << capacity;
+    EXPECT_EQ(encode_packet(chunks, capacity), want) << "capacity " << capacity;
   }
-  const GatherPacket overflow =
-      gather_encode_packet(views_of(chunks), body - 1);
-  EXPECT_EQ(overflow.wire_size, 0u);
-
-  // Borrowed accounting: every payload byte is referenced, none copied
-  // into the arena.
-  const GatherPacket gp = gather_encode_packet(views_of(chunks), body + 10);
-  std::size_t payload = 0;
-  for (const Chunk& c : chunks) payload += c.payload.size();
-  EXPECT_EQ(gp.borrowed_payload_bytes, payload);
-  EXPECT_EQ(gp.arena.size(),
-            kPacketHeaderBytes + chunks.size() * kChunkHeaderBytes + 1);
 }
 
 TEST(Gather, SplitViewMatchesSplitChunk) {
@@ -129,19 +163,15 @@ TEST(Gather, PacketizeParityAcrossPoliciesAndMtus) {
         opts.mtu = mtu;
         opts.policy = policy;
         const PacketizeResult flat = packetize(chunks, opts);
-        const GatherResult gathered = gather_packetize(views_of(chunks), opts);
+        const Encoded sent = pack_and_encode(chunks, opts);
 
-        ASSERT_EQ(gathered.packets.size(), flat.packets.size())
+        ASSERT_EQ(sent.packets.size(), flat.packets.size())
             << "policy=" << static_cast<int>(policy) << " mtu=" << mtu;
-        EXPECT_EQ(gathered.header_bytes, flat.header_bytes);
-        EXPECT_EQ(gathered.payload_bytes, flat.payload_bytes);
-        EXPECT_EQ(gathered.splits, flat.splits);
+        EXPECT_EQ(sent.wire_bytes - sent.payload_bytes, flat.header_bytes);
+        EXPECT_EQ(sent.payload_bytes, flat.payload_bytes);
+        EXPECT_EQ(sent.splits, flat.splits);
         for (std::size_t i = 0; i < flat.packets.size(); ++i) {
-          const GatherPacket& gp = gathered.packets[i];
-          ASSERT_EQ(gp.wire_size, flat.packets[i].size()) << "packet " << i;
-          const PacketBytes lin = gp.linearize();
-          ASSERT_TRUE(std::equal(flat.packets[i].begin(),
-                                 flat.packets[i].end(), lin.data()))
+          EXPECT_EQ(sent.packets[i], flat.packets[i])
               << "policy=" << static_cast<int>(policy) << " mtu=" << mtu
               << " packet " << i;
         }
@@ -158,12 +188,10 @@ TEST(Gather, LinearizedPacketsDecode) {
   }
   PacketizerOptions opts;
   opts.mtu = 256;
-  const GatherResult gathered = gather_packetize(views_of(chunks), opts);
+  const Encoded sent = pack_and_encode(chunks, opts);
   std::vector<Chunk> round_trip;
-  for (const GatherPacket& gp : gathered.packets) {
-    const PacketBytes lin = gp.linearize();
-    ParsedPacket parsed =
-        decode_packet(std::span<const std::uint8_t>(lin.data(), lin.size()));
+  for (const PacketBytes& pkt : sent.packets) {
+    ParsedPacket parsed = decode_packet(pkt.span());
     ASSERT_TRUE(parsed.ok);
     for (auto& c : parsed.chunks) round_trip.push_back(std::move(c));
   }
@@ -360,9 +388,9 @@ TEST(GatherTx, CompressedWireFallsBackToMaterializing) {
   LinkConfig cfg;
   cfg.mtu = 1500;
   const auto stream = pattern(16 * 1024);
-  // Compact syntax rewrites header bytes per packet, so it cannot be
-  // sent from borrowed spans: compress_wire re-encodes each linearized
-  // packet — and still delivers intact.
+  // Compact syntax rewrites header bytes per packet: compress_wire
+  // compresses each packet's views, copying the payload — and still
+  // delivers intact.
   TxHarness h(cfg, stream.size(), /*selective=*/false, CompressionProfile{});
   h.sender->send_stream(stream);
   h.sim.run();

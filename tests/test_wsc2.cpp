@@ -46,7 +46,7 @@ TEST(Wsc2, SingleSymbolContribution) {
 TEST(Wsc2, AddIsInvolution) {
   Wsc2Accumulator acc;
   acc.add_symbol(77, 0x12345678);
-  acc.remove_symbol(77, 0x12345678);
+  acc.add_symbol(77, 0x12345678);
   EXPECT_EQ(acc.value(), (Wsc2Code{0, 0}));
 }
 
@@ -199,7 +199,7 @@ TEST(Wsc2, OneShotMatchesAccumulator) {
 }
 
 TEST(Wsc2, SlicedKernelMatchesScalarExactly) {
-  // The slice-by-4 Horner kernel must be bit-identical to the
+  // The dispatched Horner kernel must be bit-identical to the
   // word-at-a-time reference across every size class: empty, shorter
   // than one slice group, exact multiples of 4 words, remainder words
   // (1-3 past the last group), and partial byte tails.
@@ -237,7 +237,7 @@ TEST(Wsc2, SlicedKernelMatchesScalarOnRandomSlices) {
 }
 
 TEST(Wsc2, EveryKernelMatchesScalarOracle) {
-  // Every kernel this machine can run — sliced4, sliced8, and the
+  // Every kernel this machine can run — sliced8 and the
   // native SIMD kernel when present — must produce the exact (x, h)
   // pair of the word-at-a-time scalar chain, across size classes
   // (below each kernel's internal fallback threshold, exact group
