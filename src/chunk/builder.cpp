@@ -158,7 +158,7 @@ Chunk make_ack_chunk(std::uint32_t connection_id, std::uint32_t tpdu_id,
   return c;
 }
 
-AckInfo parse_ack_chunk(const Chunk& ack) {
+AckInfo parse_ack_chunk(const ChunkView& ack) {
   AckInfo info;
   if (ack.payload.size() != 5) return info;
   ByteReader r(ack.payload);

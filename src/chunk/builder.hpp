@@ -73,6 +73,9 @@ struct AckInfo {
   std::uint32_t tpdu_id{0};
   bool positive{true};
 };
-AckInfo parse_ack_chunk(const Chunk& ack);
+AckInfo parse_ack_chunk(const ChunkView& ack);
+inline AckInfo parse_ack_chunk(const Chunk& ack) {
+  return parse_ack_chunk(as_view(ack));
+}
 
 }  // namespace chunknet

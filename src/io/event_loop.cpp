@@ -53,6 +53,32 @@ void EventLoop::del_fd(int fd) {
   sys_->sys_epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
 }
 
+void EventLoop::defer(const void* owner, std::function<void()> fn) {
+  deferred_.push_back(Deferred{owner, std::move(fn)});
+}
+
+void EventLoop::cancel_deferred(const void* owner) {
+  for (Deferred& d : deferred_) {
+    if (d.owner != owner) continue;
+    d.owner = nullptr;
+    d.fn = nullptr;
+  }
+}
+
+void EventLoop::run_deferred() {
+  // By index, with cancelled entries tombstoned rather than erased: an
+  // entry may defer more work (appended, run in this same pass) or
+  // cancel another owner's entries while the pass is under way.
+  for (std::size_t i = 0; i < deferred_.size(); ++i) {
+    if (deferred_[i].owner == nullptr) continue;
+    deferred_[i].owner = nullptr;
+    const std::function<void()> fn = std::move(deferred_[i].fn);
+    ++stats_.deferred_runs;
+    fn();
+  }
+  deferred_.clear();
+}
+
 void EventLoop::pump_timers() {
   const std::uint64_t fired = timers_.stats().fired;
   timers_.advance(now());
@@ -62,6 +88,8 @@ void EventLoop::pump_timers() {
 int EventLoop::poll_once(SimTime max_wait) {
   ++stats_.polls;
   pump_timers();
+  // What the caller and the timers queued goes out before the sleep.
+  run_deferred();
 
   // Sleep until the earliest pending deadline, the caller's cap, or
   // the loop default — whichever is soonest. Milliseconds, rounded UP
@@ -102,6 +130,7 @@ int EventLoop::poll_once(SimTime max_wait) {
     }
   }
   pump_timers();
+  run_deferred();
   return n;
 }
 

@@ -21,9 +21,18 @@
 // at the next poll and the whole first burst is resent while its ACKs
 // are in flight.
 //
+// Deferred work runs once per batch, not once per event. A component
+// that queues output during a callback (the endpoint's TX queue, the
+// receiver session's control chunks) registers one defer() entry; the
+// loop drains the entries, in registration order and until none are
+// left, right before it blocks in epoll_wait and again at the end of
+// each poll iteration. So everything one iteration produces leaves in
+// as few syscalls as it fits in, and nothing waits out a sleep.
+//
 // Single-threaded by design: every callback (fd readiness, timer,
-// datagram delivery) runs on the thread inside run()/poll_once(). The
-// transport stack's single-writer assumptions carry over intact.
+// datagram delivery, deferred step) runs on the thread inside
+// run()/poll_once(). The transport stack's single-writer assumptions
+// carry over intact.
 #pragma once
 
 #include <cstdint>
@@ -79,10 +88,19 @@ class EventLoop {
   TimerWheel& timers() { return timers_; }
   SyscallShim& sys() { return *sys_; }
 
-  /// One poll iteration: fire due timers, sleep at most until the next
-  /// deadline (capped by `max_wait` and cfg.max_poll), dispatch fd
-  /// events, fire timers that came due meanwhile. Returns the number
-  /// of fd events dispatched.
+  /// Runs `fn` at the loop's next deferred step: before it next blocks
+  /// in epoll_wait, or at the end of the current poll iteration. Entries
+  /// run in registration order; one that defers again runs in the same
+  /// step. `owner` is the key cancel_deferred() removes by.
+  void defer(const void* owner, std::function<void()> fn);
+  /// Drops every pending entry of `owner` (call from its destructor).
+  void cancel_deferred(const void* owner);
+
+  /// One poll iteration: fire due timers, run deferred work, sleep at
+  /// most until the next deadline (capped by `max_wait` and
+  /// cfg.max_poll), dispatch fd events, fire timers that came due
+  /// meanwhile, run deferred work again. Returns the number of fd
+  /// events dispatched.
   int poll_once(SimTime max_wait);
 
   /// Pumps until `done()` returns true or `deadline` (loop time)
@@ -100,6 +118,7 @@ class EventLoop {
     std::uint64_t timer_fires{0};   ///< wheel callbacks fired
     std::uint64_t eintr_retries{0}; ///< epoll_wait interrupted, retried
     std::uint64_t epoll_errors{0};  ///< epoll_wait failed hard (not EINTR)
+    std::uint64_t deferred_runs{0}; ///< deferred entries run
   };
   const Stats& stats() const { return stats_; }
 
@@ -116,8 +135,15 @@ class EventLoop {
     EventLoop& loop_;
   };
 
+  struct Deferred {
+    const void* owner;  ///< null once cancelled
+    std::function<void()> fn;
+  };
+
   /// Advances the wheel to now(), firing every due deadline.
   void pump_timers();
+  /// Runs deferred entries until none are left.
+  void run_deferred();
 
   SyscallShim* sys_;
   EventLoopConfig cfg_;
@@ -128,6 +154,7 @@ class EventLoop {
   bool stopped_{false};
   FlatMap<int, FdCallback> fds_;
   std::vector<epoll_event> event_buf_;
+  std::vector<Deferred> deferred_;
   Stats stats_;
   Counter* c_eintr_{nullptr};
   Counter* c_epoll_errors_{nullptr};

@@ -33,7 +33,14 @@ UdpEndpoint::UdpEndpoint(EventLoop& loop, UdpEndpointConfig cfg)
       cfg_(cfg),
       sys_(loop.sys()),
       own_pool_(cfg.max_datagram),
-      pool_(cfg.pool != nullptr ? cfg.pool : &own_pool_) {
+      pool_(cfg.pool != nullptr ? cfg.pool : &own_pool_),
+      tx_msgs_(cfg.tx_batch),
+      tx_iovs_(cfg.tx_batch),
+      tx_dests_(cfg.tx_batch),
+      rx_msgs_(cfg.rx_batch),
+      rx_iovs_(cfg.rx_batch),
+      rx_srcs_(cfg.rx_batch),
+      rx_bufs_(cfg.rx_batch) {
   if (cfg_.obs != nullptr && cfg_.obs->metrics != nullptr) {
     MetricsRegistry& m = *cfg_.obs->metrics;
     m_.datagrams_sent = &m.counter("io.datagrams_sent");
@@ -105,6 +112,8 @@ UdpEndpoint::UdpEndpoint(EventLoop& loop, UdpEndpointConfig cfg)
 }
 
 UdpEndpoint::~UdpEndpoint() {
+  loop_.cancel_deferred(this);
+  if (flush_timer_armed_) loop_.timers().cancel(flush_timer_);
   if (fd_ >= 0) {
     loop_.del_fd(fd_);
     sys_.sys_close(fd_);
@@ -162,7 +171,15 @@ void UdpEndpoint::enqueue(TxDatagram d) {
   charge_tx(d.bytes.size());
   txq_bytes_ += d.bytes.size();
   txq_.push_back(std::move(d));
-  flush();
+  if (txq_.size() >= cfg_.tx_batch) {
+    flush();
+  } else if (!flush_deferred_) {
+    flush_deferred_ = true;
+    loop_.defer(this, [this] {
+      flush_deferred_ = false;
+      flush();
+    });
+  }
 }
 
 void UdpEndpoint::drop_tx_head(std::uint64_t* counter, Counter* metric) {
@@ -182,22 +199,21 @@ void UdpEndpoint::flush() {
         std::min<std::size_t>(txq_.size(), cfg_.tx_batch));
     // Build the sendmmsg batch over the queue head. iovecs point into
     // the queued PacketBytes — valid until pop_front.
-    std::vector<mmsghdr> msgs(n);
-    std::vector<iovec> iovs(n);
-    std::vector<sockaddr_in> dests(n);
     for (unsigned i = 0; i < n; ++i) {
       TxDatagram& d = txq_[i];
-      iovs[i].iov_base = d.bytes.data();
-      iovs[i].iov_len = d.bytes.size();
-      msgs[i].msg_hdr.msg_iov = &iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
+      tx_iovs_[i].iov_base = d.bytes.data();
+      tx_iovs_[i].iov_len = d.bytes.size();
+      msghdr& h = tx_msgs_[i].msg_hdr;
+      h = msghdr{};
+      h.msg_iov = &tx_iovs_[i];
+      h.msg_iovlen = 1;
       if (d.explicit_dest && !cfg_.peer.has_value()) {
-        dests[i] = to_sockaddr(d.dest);
-        msgs[i].msg_hdr.msg_name = &dests[i];
-        msgs[i].msg_hdr.msg_namelen = sizeof(dests[i]);
+        tx_dests_[i] = to_sockaddr(d.dest);
+        h.msg_name = &tx_dests_[i];
+        h.msg_namelen = sizeof(tx_dests_[i]);
       }
     }
-    int sent = sys_.sys_sendmmsg(fd_, msgs.data(), n, 0);
+    int sent = sys_.sys_sendmmsg(fd_, tx_msgs_.data(), n, 0);
     if (sent < 0) {
       const int err = errno;
       last_errno_ = err;
@@ -312,7 +328,7 @@ void UdpEndpoint::handle_conn_refused() {
 void UdpEndpoint::arm_flush_in(SimTime delay) {
   if (flush_timer_armed_) return;
   flush_timer_armed_ = true;
-  loop_.clock().arm_in(delay, [this] {
+  flush_timer_ = loop_.timers().arm(loop_.now() + delay, [this] {
     flush_timer_armed_ = false;
     flush();
   });
@@ -331,25 +347,24 @@ void UdpEndpoint::handle_readable() {
 int UdpEndpoint::rx_batch_once() {
   if (fd_ < 0 || closed_) return -1;
   const unsigned n = cfg_.rx_batch;
-  std::vector<PooledBuffer> bufs;
-  bufs.reserve(n);
-  std::vector<mmsghdr> msgs(n);
-  std::vector<iovec> iovs(n);
-  std::vector<sockaddr_in> srcs(n);
   for (unsigned i = 0; i < n; ++i) {
-    bufs.push_back(pool_->acquire());
-    PacketBytes& b = bufs.back().bytes();
+    // A slot whose buffer went up the stack last call is empty (moved
+    // from); refill it. Undelivered buffers stay for the next call.
+    if (rx_bufs_[i].bytes().data() == nullptr) rx_bufs_[i] = pool_->acquire();
+    PacketBytes& b = rx_bufs_[i].bytes();
     b.resize_uninitialized(cfg_.max_datagram);
-    iovs[i].iov_base = b.data();
-    iovs[i].iov_len = b.size();
-    msgs[i].msg_hdr.msg_iov = &iovs[i];
-    msgs[i].msg_hdr.msg_iovlen = 1;
-    msgs[i].msg_hdr.msg_name = &srcs[i];
-    msgs[i].msg_hdr.msg_namelen = sizeof(srcs[i]);
+    rx_iovs_[i].iov_base = b.data();
+    rx_iovs_[i].iov_len = b.size();
+    msghdr& h = rx_msgs_[i].msg_hdr;
+    h = msghdr{};
+    h.msg_iov = &rx_iovs_[i];
+    h.msg_iovlen = 1;
+    h.msg_name = &rx_srcs_[i];
+    h.msg_namelen = sizeof(rx_srcs_[i]);
   }
   int got;
   for (;;) {
-    got = sys_.sys_recvmmsg(fd_, msgs.data(), n, MSG_TRUNC);
+    got = sys_.sys_recvmmsg(fd_, rx_msgs_.data(), n, MSG_TRUNC);
     if (got >= 0) break;
     const int err = errno;
     if (err == EINTR) {
@@ -370,10 +385,10 @@ int UdpEndpoint::rx_batch_once() {
   // A successful batch proves the peer's socket exists again.
   if (got > 0) reconnect_backoff_ = 0;
   ++stats_.recvmmsg_calls;
-  int usable = 0;
   for (int i = 0; i < got; ++i) {
-    const std::size_t len = msgs[i].msg_len;
-    if ((msgs[i].msg_hdr.msg_flags & MSG_TRUNC) != 0 ||
+    const auto slot = static_cast<std::size_t>(i);
+    const std::size_t len = rx_msgs_[slot].msg_len;
+    if ((rx_msgs_[slot].msg_hdr.msg_flags & MSG_TRUNC) != 0 ||
         len > cfg_.max_datagram) {
       // Datagram larger than our buffer: the tail is gone, and a
       // truncated envelope must never reach the decoder as if whole.
@@ -381,25 +396,24 @@ int UdpEndpoint::rx_batch_once() {
       obs_add(m_.rx_truncated_dropped);
       continue;
     }
-    PacketBytes& b = bufs[static_cast<std::size_t>(i)].bytes();
-    b.resize_uninitialized(len);  // shrink: keeps the bytes, fixes size
+    rx_bufs_[slot].bytes().resize_uninitialized(len);  // keeps the bytes
     ++stats_.datagrams_received;
     stats_.bytes_received += len;
     obs_add(m_.datagrams_received);
+    // A callback that keeps the buffer moves (or take()s) it out of
+    // the slot; one that only reads it leaves it for the next call.
     if (on_datagram_) {
-      on_datagram_(std::move(bufs[static_cast<std::size_t>(i)]),
-                   from_sockaddr(srcs[static_cast<std::size_t>(i)]));
+      on_datagram_(std::move(rx_bufs_[slot]), from_sockaddr(rx_srcs_[slot]));
     }
-    ++usable;
   }
-  // Unused buffers return to the pool via ~PooledBuffer.
-  (void)usable;
   return got;
 }
 
 std::uint64_t UdpEndpoint::shutdown(SimTime deadline) {
   if (closed_) return 0;
   closed_ = true;  // no new enqueues, no more RX delivery
+  loop_.cancel_deferred(this);  // the flush below replaces it
+  flush_deferred_ = false;
   if (fd_ >= 0) {
     loop_.mod_fd(fd_, txq_.empty() ? 0u : static_cast<std::uint32_t>(EPOLLOUT));
     epollout_armed_ = !txq_.empty();

@@ -1,9 +1,15 @@
 // A UDP socket on the event loop, with batched I/O and explicit
 // handling for every way the kernel says no.
 //
-// TX is a bounded queue flushed with sendmmsg(2); RX drains with
-// recvmmsg(2) into pool-backed buffers that flow zero-copy into
-// decode_packet_views. The design rule, inherited from the rest of
+// TX is a bounded queue flushed in batches with sendmmsg(2): a queue
+// that reaches tx_batch datagrams is flushed at once, and a shorter one
+// is flushed by the event loop's deferred step, before it next blocks
+// in epoll_wait or at the end of the poll iteration. So a burst leaves
+// in tx_batch-sized calls, and a lone datagram never waits out a sleep.
+// RX drains with recvmmsg(2) into pool-backed buffers that flow
+// zero-copy into decode_packet_views. The batch headers, iovecs,
+// addresses and RX buffers are endpoint members, reused by every call.
+// The design rule, inherited from the rest of
 // chunknet: NO SILENT DROPS. Every datagram that does not reach the
 // wire (or the application) is counted under a reason —
 //
@@ -82,7 +88,9 @@ struct UdpEndpointConfig {
   /// SO_RCVBUF / SO_SNDBUF requests (0 = kernel default).
   int so_rcvbuf{1 << 20};
   int so_sndbuf{1 << 20};
-  /// Pool for RX buffers; null = endpoint-owned private pool.
+  /// Pool for RX buffers; null = endpoint-owned private pool. The
+  /// endpoint holds up to rx_batch buffers between calls, so the pool
+  /// must outlive it.
   PacketBufferPool* pool{nullptr};
   /// Queued TX bytes are charged here (class kStaging) when set.
   ResourceGovernor* governor{nullptr};
@@ -120,11 +128,13 @@ class UdpEndpoint {
   }
 
   /// Queues one datagram to the connected peer (cfg.peer must be set).
+  /// It leaves with the next flush: at once when the queue holds
+  /// tx_batch datagrams, else at the loop's next deferred step.
   void send(PacketBytes bytes);
   /// Queues one datagram to an explicit destination.
   void send_to(PacketBytes bytes, const UdpAddress& dest);
-  /// Attempts to flush the TX queue now (also runs on EPOLLOUT and
-  /// backoff timers).
+  /// Attempts to flush the TX queue now (also runs at the loop's
+  /// deferred step, on EPOLLOUT and on backoff timers).
   void flush();
 
   std::size_t tx_queued() const { return txq_.size(); }
@@ -194,8 +204,21 @@ class UdpEndpoint {
   bool epollout_armed_{false};
   bool backpressure_{false};
   bool flush_timer_armed_{false};
+  TimerWheel::TimerId flush_timer_{0};  ///< valid while flush_timer_armed_
+  bool flush_deferred_{false};
   SimTime reconnect_backoff_{0};
   bool closed_{false};
+
+  /// sendmmsg/recvmmsg scratch, sized once to tx_batch/rx_batch. The
+  /// RX slots keep their pooled buffers between calls; a slot whose
+  /// buffer was delivered is refilled from the pool on the next call.
+  std::vector<mmsghdr> tx_msgs_;
+  std::vector<iovec> tx_iovs_;
+  std::vector<sockaddr_in> tx_dests_;
+  std::vector<mmsghdr> rx_msgs_;
+  std::vector<iovec> rx_iovs_;
+  std::vector<sockaddr_in> rx_srcs_;
+  std::vector<PooledBuffer> rx_bufs_;
 
   Stats stats_;
   struct ObsHandles {

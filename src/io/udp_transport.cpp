@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/chunk/codec.hpp"
+#include "src/chunk/packetizer.hpp"
 #include "src/transport/signalling.hpp"
 
 namespace chunknet {
@@ -79,9 +80,14 @@ UdpReceiverSession::UdpReceiverSession(EventLoop& loop,
       guard_->credit(*reply_to_, grant->credit_limit_bytes - credit_granted_);
       credit_granted_ = grant->credit_limit_bytes;
     }
-    PacketBytes body =
-        encode_packet(std::span<const Chunk>(&ctrl, 1), 1500);
-    endpoint_->send_to(std::move(body), *reply_to_);
+    ctrl_queue_.push_back(std::move(ctrl));
+    if (!ctrl_deferred_) {
+      ctrl_deferred_ = true;
+      loop_.defer(this, [this] {
+        ctrl_deferred_ = false;
+        flush_control();
+      });
+    }
   };
   receiver_ =
       std::make_unique<ChunkTransportReceiver>(loop.clock(), std::move(rc));
@@ -89,6 +95,23 @@ UdpReceiverSession::UdpReceiverSession(EventLoop& loop,
   endpoint_->on_datagram([this](PooledBuffer&& buf, const UdpAddress& from) {
     handle_datagram(std::move(buf), from);
   });
+}
+
+UdpReceiverSession::~UdpReceiverSession() { loop_.cancel_deferred(this); }
+
+void UdpReceiverSession::flush_control() {
+  if (ctrl_queue_.empty()) return;
+  ctrl_views_.clear();
+  for (const Chunk& c : ctrl_queue_) ctrl_views_.push_back(as_view(c));
+  PacketizerOptions opts;
+  opts.mtu = cfg_.endpoint.max_datagram;
+  opts.split_to_fill = false;  // control information is indivisible
+  pack_views(ctrl_views_, opts, [this, &opts](std::span<const ChunkView> pkt) {
+    PacketBytes body;
+    encode_packet_into(pkt, opts.mtu, body);
+    endpoint_->send_to(std::move(body), *reply_to_);
+  });
+  ctrl_queue_.clear();
 }
 
 void UdpReceiverSession::handle_datagram(PooledBuffer&& buf,
@@ -113,6 +136,8 @@ void UdpReceiverSession::handle_datagram(PooledBuffer&& buf,
     }
     return;
   }
+  // Control queued for an earlier source goes to that source.
+  if (reply_to_ != from) flush_control();
   reply_to_ = from;
 
   const std::uint64_t pkt_id = ++rx_datagrams_;
@@ -136,6 +161,7 @@ bool UdpReceiverSession::run_until_complete(std::uint64_t total_elements,
 std::uint64_t UdpReceiverSession::drain(SimTime deadline) {
   // Let queued ACKs out before closing; the sender's RTO depends on
   // the last ACK making it more often than not.
+  flush_control();
   loop_.run_until([this] { return endpoint_->tx_queued() == 0; }, deadline);
   return endpoint_->shutdown(deadline);
 }

@@ -13,6 +13,13 @@
 // peer is paced by the credit its receiver grants, not by the guard's
 // per-source token bucket.
 //
+// Control is coalesced, not suppressed: the ACKs and grants one poll
+// iteration produces are queued and, at the loop's deferred step, packed
+// whole (never split) into as few envelopes as fit the endpoint's
+// max_datagram — "as many chunks as fit can be placed in a single
+// packet" (paper §2). Every chunk is still sent; the envelopes leave in
+// the same sendmmsg batch as the endpoint's flush that follows.
+//
 // Shutdown is truthful: drain() flushes what it can until a deadline
 // and then reports exactly what was abandoned — TPDUs the sender gave
 // up on (by RTO exhaustion or by the drain itself) and datagrams that
@@ -80,9 +87,9 @@ class UdpSenderSession {
 
  private:
   EventLoop& loop_;
+  PacketBufferPool feedback_pool_;  ///< outlives the endpoint
   std::unique_ptr<UdpEndpoint> endpoint_;
   std::unique_ptr<ChunkTransportSender> sender_;
-  PacketBufferPool feedback_pool_;
 };
 
 struct UdpReceiverSessionConfig {
@@ -100,6 +107,10 @@ struct UdpReceiverSessionConfig {
 class UdpReceiverSession {
  public:
   UdpReceiverSession(EventLoop& loop, UdpReceiverSessionConfig cfg);
+  ~UdpReceiverSession();
+
+  UdpReceiverSession(const UdpReceiverSession&) = delete;
+  UdpReceiverSession& operator=(const UdpReceiverSession&) = delete;
 
   bool ok() const { return endpoint_->ok(); }
   UdpEndpoint& endpoint() { return *endpoint_; }
@@ -110,20 +121,27 @@ class UdpReceiverSession {
   /// `deadline` passes.
   bool run_until_complete(std::uint64_t total_elements, SimTime deadline);
 
-  /// Flushes pending control traffic (ACKs in the TX queue) until
-  /// `deadline`, then closes. Returns datagrams abandoned unsent.
+  /// Flushes pending control traffic (queued control chunks, then the
+  /// TX queue) until `deadline`, then closes. Returns datagrams
+  /// abandoned unsent.
   std::uint64_t drain(SimTime deadline);
 
  private:
   void handle_datagram(PooledBuffer&& buf, const UdpAddress& from);
+  /// Packs the queued control chunks into envelopes to reply_to_.
+  void flush_control();
 
   EventLoop& loop_;
   UdpReceiverSessionConfig cfg_;
+  PacketBufferPool rx_pool_;  ///< outlives the endpoint that holds its buffers
   std::unique_ptr<UdpEndpoint> endpoint_;
   std::unique_ptr<IngressGuard> guard_;
   std::unique_ptr<ChunkTransportReceiver> receiver_;
-  PacketBufferPool rx_pool_;
   std::vector<ChunkView> view_scratch_;
+  /// Control chunks of the current poll iteration, and their views.
+  std::vector<Chunk> ctrl_queue_;
+  std::vector<ChunkView> ctrl_views_;
+  bool ctrl_deferred_{false};
   /// Control replies go to the source of the last admitted datagram —
   /// which survives a SENDER restart from a new ephemeral port.
   std::optional<UdpAddress> reply_to_;

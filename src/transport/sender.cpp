@@ -187,7 +187,7 @@ void ChunkTransportSender::on_tpdu_retired(const PendingTpdu& p) {
   if (inflight_ > 0) --inflight_;
 }
 
-void ChunkTransportSender::handle_credit_grant(const Chunk& signal) {
+void ChunkTransportSender::handle_credit_grant(const ChunkView& signal) {
   const auto grant = parse_credit_grant(signal);
   if (!grant || grant->connection_id != cfg_.framer.connection_id) return;
   // Wrap-safe ordering: apply only grants newer than the last applied.
@@ -359,7 +359,7 @@ void ChunkTransportSender::send_one(std::span<const ChunkView> packet) {
   if (cfg_.send_packet) cfg_.send_packet(std::move(pkt));
 }
 
-void ChunkTransportSender::handle_gap_nak(const Chunk& signal) {
+void ChunkTransportSender::handle_gap_nak(const ChunkView& signal) {
   const auto nak = parse_gap_nak(signal);
   if (!nak) return;
   const auto it = outstanding_.find(nak->tpdu_id);
@@ -420,9 +420,17 @@ void ChunkTransportSender::handle_gap_nak(const Chunk& signal) {
 }
 
 void ChunkTransportSender::on_packet(SimPacket pkt) {
-  ParsedPacket parsed = decode_packet(pkt.bytes);
-  if (!parsed.ok) return;
-  for (const Chunk& c : parsed.chunks) {
+  // Feedback is read in place: the views alias pkt.bytes, which lives
+  // until return. The scratch is taken for the call, so a re-entrant
+  // on_packet decodes into a vector of its own.
+  std::vector<ChunkView> views = std::move(feedback_views_);
+  const bool ok = decode_packet_views(pkt.bytes, views);
+  if (ok) handle_feedback(views);
+  feedback_views_ = std::move(views);
+}
+
+void ChunkTransportSender::handle_feedback(std::span<const ChunkView> views) {
+  for (const ChunkView& c : views) {
     if (c.h.type == ChunkType::kSignal) {
       if (cfg_.flow.enabled && signal_kind(c) == SignalKind::kCreditGrant) {
         handle_credit_grant(c);

@@ -188,8 +188,10 @@ class ChunkTransportSender final : public PacketSink {
   /// Abandons one outstanding TPDU, accounted as a give-up everywhere.
   void give_up(Outstanding::iterator it);
   void arm_timer(std::uint32_t tpdu_id);
-  void handle_gap_nak(const Chunk& signal);
-  void handle_credit_grant(const Chunk& signal);
+  /// Acts on the chunks of one decoded feedback envelope.
+  void handle_feedback(std::span<const ChunkView> views);
+  void handle_gap_nak(const ChunkView& signal);
+  void handle_credit_grant(const ChunkView& signal);
   /// Admits queued TPDUs while credit and slots allow; arms the
   /// zero-credit probe if the queue stays blocked.
   void pump_queue();
@@ -239,6 +241,8 @@ class ChunkTransportSender final : public PacketSink {
   SpanRecorder* spans_{nullptr};  ///< resolved once; hot path
   Outstanding outstanding_;
   std::vector<std::uint32_t> gave_up_ids_;
+  /// on_packet's decode scratch (capacity kept across envelopes).
+  std::vector<ChunkView> feedback_views_;
   bool started_{false};
   Stats stats_;
 

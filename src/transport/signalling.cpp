@@ -94,7 +94,7 @@ Chunk make_signal_chunk(const ConnectionRefused& refused) {
   return wrap(refused.connection_id, std::move(p));
 }
 
-std::optional<SignalKind> signal_kind(const Chunk& c) {
+std::optional<SignalKind> signal_kind(const ChunkView& c) {
   if (c.h.type != ChunkType::kSignal || c.payload.empty()) return std::nullopt;
   // Control information is indivisible (§2): every signal travels as
   // exactly one element. A multi-element "signal" never came from
@@ -133,7 +133,7 @@ std::optional<ConnectionClose> parse_connection_close(const Chunk& c) {
   return close;
 }
 
-std::optional<GapNak> parse_gap_nak(const Chunk& c) {
+std::optional<GapNak> parse_gap_nak(const ChunkView& c) {
   if (signal_kind(c) != SignalKind::kGapNak) return std::nullopt;
   ByteReader r(c.payload);
   r.u8();
@@ -163,7 +163,7 @@ std::optional<GapNak> parse_gap_nak(const Chunk& c) {
   return nak;
 }
 
-std::optional<CreditGrant> parse_credit_grant(const Chunk& c) {
+std::optional<CreditGrant> parse_credit_grant(const ChunkView& c) {
   if (signal_kind(c) != SignalKind::kCreditGrant) return std::nullopt;
   ByteReader r(c.payload);
   r.u8();

@@ -125,13 +125,23 @@ Chunk make_signal_chunk(const CreditGrant& grant);
 Chunk make_signal_chunk(const ConnectionRefused& refused);
 
 /// Returns the signal kind of a SIGNAL chunk (nullopt if malformed).
-std::optional<SignalKind> signal_kind(const Chunk& c);
+/// The view form reads a chunk in place in its received envelope.
+std::optional<SignalKind> signal_kind(const ChunkView& c);
+inline std::optional<SignalKind> signal_kind(const Chunk& c) {
+  return signal_kind(as_view(c));
+}
 
 /// Payload parsers; nullopt on malformed input.
 std::optional<ConnectionOpen> parse_connection_open(const Chunk& c);
 std::optional<ConnectionClose> parse_connection_close(const Chunk& c);
-std::optional<GapNak> parse_gap_nak(const Chunk& c);
-std::optional<CreditGrant> parse_credit_grant(const Chunk& c);
+std::optional<GapNak> parse_gap_nak(const ChunkView& c);
+inline std::optional<GapNak> parse_gap_nak(const Chunk& c) {
+  return parse_gap_nak(as_view(c));
+}
+std::optional<CreditGrant> parse_credit_grant(const ChunkView& c);
+inline std::optional<CreditGrant> parse_credit_grant(const Chunk& c) {
+  return parse_credit_grant(as_view(c));
+}
 std::optional<ConnectionRefused> parse_connection_refused(const Chunk& c);
 
 }  // namespace chunknet

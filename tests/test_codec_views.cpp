@@ -148,6 +148,46 @@ TEST(CodecViews, AgreesOnCorruptedPackets) {
   }
 }
 
+// Random flips almost never write a TYPE of 5-7, so every TYPE byte
+// value is tried outright, in the first chunk and in a later one.
+TEST(CodecViews, AgreesOnEveryTypeByte) {
+  Rng rng(5);
+  std::vector<Chunk> chunks{random_chunk(rng), random_chunk(rng)};
+  const auto packet = encode_packet(chunks, 1 << 20);
+  const std::size_t second = kPacketHeaderBytes + chunks[0].wire_size();
+  for (const std::size_t at : {kPacketHeaderBytes, second}) {
+    for (int type = 0; type < 256; ++type) {
+      auto mutated = packet;
+      mutated[at] = static_cast<std::uint8_t>(type);
+      expect_agreement(mutated);
+    }
+  }
+}
+
+// Random cuts almost never land exactly one byte short of a chunk's
+// end, so each chunk's end is cut by one byte outright, with the
+// envelope length patched so the chunk walk itself meets the cut.
+TEST(CodecViews, AgreesOnEveryChunkEndCutByOneByte) {
+  Rng rng(6);
+  for (int i = 0; i < 20; ++i) {
+    std::vector<Chunk> chunks;
+    const std::uint64_t n = rng.range(1, 6);
+    for (std::uint64_t c = 0; c < n; ++c) chunks.push_back(random_chunk(rng));
+    const auto packet = encode_packet(chunks, 1 << 20);
+    std::size_t chunk_end = kPacketHeaderBytes;
+    for (const Chunk& c : chunks) {
+      chunk_end += c.wire_size();
+      std::vector<std::uint8_t> cut(packet.begin(),
+                                    packet.begin() + chunk_end - 1);
+      const std::size_t body = cut.size() - kPacketHeaderBytes;
+      cut[2] = static_cast<std::uint8_t>(body >> 8);
+      cut[3] = static_cast<std::uint8_t>(body);
+      ASSERT_FALSE(reference_decode(cut).has_value());
+      expect_agreement(cut);
+    }
+  }
+}
+
 TEST(CodecViews, ScratchVectorIsClearedAndReused) {
   Rng rng(7);
   std::vector<ChunkView> views;

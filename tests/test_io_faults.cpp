@@ -120,6 +120,8 @@ TEST(IoFaults, EnobufsIsBackpressureNotLoss) {
   int pressure_on = 0, pressure_off = 0;
   p.tx->on_backpressure([&](bool on) { (on ? pressure_on : pressure_off)++; });
   for (int i = 0; i < 8; ++i) p.tx->send(make_datagram(64, i));
+  // A short queue waits for the loop's deferred flush; try it now.
+  p.tx->flush();
   // While the kernel refuses buffers the datagrams stay queued...
   EXPECT_GT(p.tx->tx_queued(), 0u);
   EXPECT_TRUE(p.tx->backpressured());
@@ -267,6 +269,35 @@ TEST(IoFaults, ConnRefusedBacksOffAndRecovers) {
   ASSERT_TRUE(
       loop.run_until([&] { return got >= 1; }, loop.now() + 5 * kSecond));
   EXPECT_EQ(tx.stats().tx_queue_dropped, 0u);
+}
+
+// An endpoint destroyed while its reconnect backoff is armed takes the
+// backoff timer with it: polling the loop past the backoff is safe
+// (AddressSanitizer checks the rest).
+TEST(IoFaults, DestroyedDuringReconnectBackoffLeavesTheLoopSafe) {
+  EventLoop loop;
+  std::uint16_t port;
+  {
+    UdpEndpointConfig probe;
+    probe.bind = UdpAddress{0x7f000001, 0};
+    UdpEndpoint tmp(loop, probe);
+    ASSERT_TRUE(tmp.ok());
+    port = tmp.local_addr().port;
+  }
+  UdpEndpointConfig tc;
+  tc.bind = UdpAddress{0x7f000001, 0};
+  tc.peer = UdpAddress{0x7f000001, port};
+  tc.reconnect_backoff_min = 5 * kMillisecond;
+  auto tx = std::make_unique<UdpEndpoint>(loop, tc);
+  ASSERT_TRUE(tx->ok());
+  tx->send(make_datagram(64, 1));
+  ASSERT_TRUE(loop.run_until([&] { return tx->stats().peer_unreachable > 0; },
+                             loop.now() + 2 * kSecond));
+  tx.reset();
+  const std::uint64_t fired = loop.stats().timer_fires;
+  const SimTime end = loop.now() + 30 * kMillisecond;
+  while (loop.now() < end) loop.poll_once(5 * kMillisecond);
+  EXPECT_EQ(loop.stats().timer_fires, fired);
 }
 
 TEST(IoFaults, QueueOverflowDropsNewestVisibly) {

@@ -1,9 +1,10 @@
 // End-to-end chunk transport over real loopback UDP sockets: bit-exact
 // delivery, survival of injected syscall faults, mid-transfer receiver
 // restart, truthful drain accounting, the ingress guard's hostile-
-// input screens and its credit path, and RTOs armed on current time.
-// Everything runs on one EventLoop in one process — two sockets, real
-// datagrams, real epoll.
+// input screens and its credit path, RTOs armed on current time, and
+// control chunks coalesced into shared envelopes. Everything runs on
+// one EventLoop in one process — two sockets, real datagrams, real
+// epoll.
 #include <gtest/gtest.h>
 
 #include <errno.h>
@@ -14,6 +15,7 @@
 #include "src/chunk/builder.hpp"
 #include "src/chunk/codec.hpp"
 #include "src/io/udp_transport.hpp"
+#include "src/transport/signalling.hpp"
 
 namespace chunknet {
 namespace {
@@ -103,24 +105,30 @@ TEST(UdpLoopback, BitExactUnderInjectedFaults) {
   // A hostile afternoon: interrupted syscalls, kernel buffer
   // exhaustion, partial batches, and a short read that truncates a
   // data packet mid-envelope.
+  //
+  // The sendmmsg script is timed against the calls the transfer is
+  // sure to make. send_stream queues 32 one-datagram TPDUs, so the
+  // sender flushes two full 16-datagram batches before the loop runs:
+  // the first is cut after 5 datagrams (a real partial batch), the
+  // resumed tail of 11 is interrupted twice, and the second batch
+  // meets ENOBUFS. The second ENOBUFS lets one call through and lands
+  // on a later one (the first deferred flush, or the receiver's first
+  // ACK envelope).
+  {
+    InjectedFault f;
+    f.call = IoCall::kSendmmsg;
+    f.partial = 5;
+    faulty.inject(f);
+  }
   faulty.fail_next(IoCall::kSendmmsg, EINTR, 2);
   faulty.fail_next(IoCall::kRecvmmsg, EINTR, 2);
   faulty.fail_next(IoCall::kEpollWait, EINTR, 3);
   {
     InjectedFault f;
     f.call = IoCall::kSendmmsg;
-    f.after = 4;
     f.err = ENOBUFS;
     faulty.inject(f);
     f.after = 1;
-    faulty.inject(f);
-  }
-  {
-    InjectedFault f;
-    f.call = IoCall::kSendmmsg;
-    f.after = 2;
-    f.partial = 1;
-    f.err = 0;
     faulty.inject(f);
   }
   {
@@ -143,6 +151,7 @@ TEST(UdpLoopback, BitExactUnderInjectedFaults) {
   EXPECT_TRUE(std::equal(stream.begin(), stream.end(), got.begin()));
   // Every scripted fault was consumed by the runtime.
   EXPECT_EQ(faulty.pending(), 0u);
+  EXPECT_GE(tx.endpoint().stats().tx_partial_batches, 1u);
   // The truncated datagram was refused by a strict decoder somewhere
   // (the guard for data, the sender's own decode for control) — it was
   // NOT silently accepted; the transport recovered by retransmission.
@@ -557,6 +566,157 @@ TEST(UdpLoopback, RtoArmedOnCurrentTimeAfterASlowStart) {
   EXPECT_TRUE(tx.sender().all_acked());
   EXPECT_EQ(tx.sender().stats().retransmissions, 0u);
   EXPECT_EQ(rx.receiver().stats().duplicate_chunks, 0u);
+}
+
+/// The real shim, sorting every datagram sendmmsg sends by what its
+/// envelope carries: data (any DATA chunk) or control only.
+class EnvelopeCountingSyscalls final : public SyscallShim {
+ public:
+  int sys_sendmmsg(int fd, mmsghdr* msgs, unsigned n, int flags) override {
+    const int sent = SyscallShim::sys_sendmmsg(fd, msgs, n, flags);
+    for (int i = 0; i < sent; ++i) {
+      const iovec& v = msgs[i].msg_hdr.msg_iov[0];
+      const std::span<const std::uint8_t> bytes(
+          static_cast<const std::uint8_t*>(v.iov_base), v.iov_len);
+      if (!decode_packet_views(bytes, views_)) {
+        ++undecodable;
+        continue;
+      }
+      bool data = false;
+      for (const ChunkView& c : views_) {
+        data = data || c.h.type == ChunkType::kData;
+        if (c.h.type == ChunkType::kAck) ++ack_chunks;
+        if (signal_kind(c) == SignalKind::kCreditGrant) ++grant_chunks;
+      }
+      ++(data ? data_dgrams : ctrl_dgrams);
+    }
+    return sent;
+  }
+
+  std::uint64_t data_dgrams{0};
+  std::uint64_t ctrl_dgrams{0};
+  std::uint64_t ack_chunks{0};
+  std::uint64_t grant_chunks{0};
+  std::uint64_t undecodable{0};
+
+ private:
+  std::vector<ChunkView> views_;
+};
+
+// Control is coalesced, not suppressed: over a 1 MiB credit-flow
+// transfer the receiver's ACKs and grants share envelopes (at most one
+// control datagram per 8 data datagrams), yet every ACK and every grant
+// the receiver produced is on the wire.
+TEST(UdpLoopback, ControlChunksShareEnvelopes) {
+  EnvelopeCountingSyscalls sys;
+  EventLoopConfig lc;
+  lc.sys = &sys;
+  EventLoop loop(lc);
+  const auto stream = pattern(1 << 20);
+  const std::size_t tpdus = stream.size() / (std::size_t{kTpduElems} * kElem);
+
+  UdpReceiverSessionConfig rcfg;
+  rcfg.bind = UdpAddress{0x7f000001, 0};
+  rcfg.receiver = fast_receiver_config(stream.size());
+  // The E15a window: wide enough that a poll sees a burst of TPDUs.
+  rcfg.receiver.grant_credit = true;
+  rcfg.receiver.credit_window_bytes = 512 * 1024;
+  rcfg.receiver.credit_tpdu_slots = 128;
+  UdpReceiverSession rx(loop, rcfg);
+  ASSERT_TRUE(rx.ok());
+
+  UdpSenderSessionConfig scfg;
+  scfg.peer = rx.endpoint().local_addr();
+  scfg.sender = fast_sender_config();
+  scfg.sender.flow.enabled = true;
+  scfg.sender.flow.initial_credit_bytes = 256 * 1024;
+  scfg.sender.flow.initial_tpdu_slots = 64;
+  scfg.sender.retransmit_timeout = 250 * kMillisecond;
+  UdpSenderSession tx(loop, scfg);
+  ASSERT_TRUE(tx.ok());
+
+  tx.send_stream(stream);
+  ASSERT_TRUE(rx.run_until_complete(stream.size() / kElem,
+                                    loop.now() + 20 * kSecond));
+  const DrainReport r = tx.drain(loop.now() + 10 * kSecond);
+  EXPECT_TRUE(r.clean);
+  EXPECT_EQ(rx.drain(loop.now() + kSecond), 0u);
+
+  const auto& rs = rx.receiver().stats();
+  EXPECT_EQ(rs.tpdus_accepted, tpdus);
+  EXPECT_EQ(sys.undecodable, 0u);
+  EXPECT_EQ(sys.ack_chunks, rs.tpdus_accepted + rs.tpdus_rejected +
+                                rs.acks_resent);
+  EXPECT_GT(rs.credit_grants_sent, 0u);
+  EXPECT_EQ(sys.grant_chunks, rs.credit_grants_sent);
+  EXPECT_GE(sys.data_dgrams, tpdus);
+  EXPECT_LE(sys.ctrl_dgrams * 8, sys.data_dgrams)
+      << sys.ctrl_dgrams << " control datagrams for " << sys.data_dgrams
+      << " data datagrams";
+}
+
+// Draining the receiver right after the stream completes still gets
+// the final ACKs out, so the sender ends with every TPDU acked.
+TEST(UdpLoopback, ReceiverDrainDeliversTheFinalAcks) {
+  EventLoop loop;
+  const auto stream = pattern(64 * 1024);
+
+  UdpReceiverSessionConfig rcfg;
+  rcfg.bind = UdpAddress{0x7f000001, 0};
+  rcfg.receiver = fast_receiver_config(stream.size());
+  UdpReceiverSession rx(loop, rcfg);
+  ASSERT_TRUE(rx.ok());
+
+  UdpSenderSessionConfig scfg;
+  scfg.peer = rx.endpoint().local_addr();
+  scfg.sender = fast_sender_config();
+  scfg.sender.retransmit_timeout = 250 * kMillisecond;
+  UdpSenderSession tx(loop, scfg);
+  ASSERT_TRUE(tx.ok());
+
+  tx.send_stream(stream);
+  ASSERT_TRUE(rx.run_until_complete(stream.size() / kElem,
+                                    loop.now() + 10 * kSecond));
+  EXPECT_EQ(rx.drain(loop.now() + kSecond), 0u);
+  ASSERT_TRUE(tx.run_until_finished(loop.now() + 10 * kSecond));
+  EXPECT_TRUE(tx.sender().all_acked());
+}
+
+// A receiver session destroyed with its control flush still deferred
+// takes the entry with it: the queued ACK is never sent, and the loop
+// polls on safely (AddressSanitizer checks the rest).
+TEST(UdpLoopback, SessionDestroyedWithControlDeferredLeavesTheLoopSafe) {
+  EventLoop loop;
+  const auto stream = pattern(4 * 1024);
+
+  std::unique_ptr<UdpReceiverSession> rx;
+  int teardown = 0;  // owner of the deferred teardown
+  bool scheduled = false;
+  UdpReceiverSessionConfig rcfg;
+  rcfg.bind = UdpAddress{0x7f000001, 0};
+  rcfg.receiver = fast_receiver_config(stream.size());
+  // on_tpdu runs before the TPDU's ACK is queued, so the teardown is
+  // deferred ahead of the session's first control flush and runs first.
+  rcfg.receiver.on_tpdu = [&](const TpduOutcome&) {
+    if (scheduled) return;
+    scheduled = true;
+    loop.defer(&teardown, [&] { rx.reset(); });
+  };
+  rx = std::make_unique<UdpReceiverSession>(loop, rcfg);
+  ASSERT_TRUE(rx->ok());
+
+  UdpSenderSessionConfig scfg;
+  scfg.peer = rx->endpoint().local_addr();
+  scfg.sender = fast_sender_config();
+  scfg.sender.retransmit_timeout = 250 * kMillisecond;
+  UdpSenderSession tx(loop, scfg);
+  ASSERT_TRUE(tx.ok());
+
+  tx.send_stream(stream);
+  ASSERT_TRUE(loop.run_until([&] { return rx == nullptr; },
+                             loop.now() + 5 * kSecond));
+  for (int i = 0; i < 3; ++i) loop.poll_once(kMillisecond);
+  EXPECT_EQ(tx.sender().stats().tpdus_acked, 0u);
 }
 
 }  // namespace
