@@ -3,7 +3,8 @@
 // paper positions itself against:
 //   IP-frag        fragment + physically reassemble + CRC (conventional),
 //   XTP-like       PDU per packet, full overhead everywhere (§3.2),
-//   MTU-discovery  never fragment, TPDU = path minimum ([KENT 87]).
+//   MTU-discovery  never fragment, TPDU = path minimum ([KENT 87]);
+// the last two are one PDU-per-packet transport with a 16 B or 7 B header.
 // Same stream, same loss/disorder; reports wire cost, recovery traffic
 // and delivery latency.
 #include <cinttypes>
@@ -55,23 +56,24 @@ Row run_chunks() {
   return r;
 }
 
-template <typename Sender, typename Receiver, typename Config>
-Row run_alt(const char* name, Config cfg) {
+Row run_pdu_per_packet(const char* name, PduHeader header) {
   Simulator sim;
   Rng rng(11);
-  std::unique_ptr<Receiver> receiver;
-  std::unique_ptr<Sender> sender;
   std::unique_ptr<Link> forward;
   std::unique_ptr<Link> reverse;
-  receiver = std::make_unique<Receiver>(
-      sim, kStreamBytes, [&](std::vector<std::uint8_t> body) {
+  PduPerPacketReceiver receiver(
+      sim, header, kStreamBytes, [&](std::vector<std::uint8_t> body) {
         SimPacket sp;
         sp.bytes = std::move(body);
         sp.id = sim.next_packet_id();
         sp.created_at = sim.now();
         reverse->send(std::move(sp));
       });
-  forward = std::make_unique<Link>(sim, path(), *receiver, rng);
+  forward = std::make_unique<Link>(sim, path(), receiver, rng);
+  PduPerPacketConfig cfg;
+  cfg.header = header;
+  cfg.mtu = 576;
+  cfg.retransmit_timeout = 60 * kMillisecond;
   cfg.send_packet = [&](std::vector<std::uint8_t> bytes) {
     SimPacket sp;
     sp.bytes = std::move(bytes);
@@ -79,23 +81,23 @@ Row run_alt(const char* name, Config cfg) {
     sp.created_at = sim.now();
     forward->send(std::move(sp));
   };
-  sender = std::make_unique<Sender>(sim, std::move(cfg));
+  PduPerPacketSender sender(sim, std::move(cfg));
   LinkConfig rev;
   rev.prop_delay = 3 * kMillisecond;
-  reverse = std::make_unique<Link>(sim, rev, *sender, rng);
+  reverse = std::make_unique<Link>(sim, rev, sender, rng);
 
-  sender->send_stream(pattern_stream(kStreamBytes));
+  sender.send_stream(pattern_stream(kStreamBytes));
   sim.run(120 * kSecond);
 
   Row r{name};
-  r.wire_bytes = sender->stats().bytes_sent;
-  r.packets = sender->stats().packets_sent;
+  r.wire_bytes = sender.stats().bytes_sent;
+  r.packets = sender.stats().packets_sent;
   Percentiles p;
-  for (const double ns : receiver->stats().delivery_latency_ns) p.add(ns);
+  for (const double ns : receiver.stats().delivery_latency_ns) p.add(ns);
   r.p99_ms = p.p99() / 1e6;
-  r.bus_per_kb = receiver->stats().bus_bytes * 1024 / kStreamBytes;
+  r.bus_per_kb = receiver.stats().bus_bytes * 1024 / kStreamBytes;
   r.complete =
-      receiver->bytes_delivered() == kStreamBytes && sender->all_acked();
+      receiver.bytes_delivered() == kStreamBytes && sender.all_acked();
   return r;
 }
 
@@ -154,16 +156,8 @@ void compare() {
   Row rows[4];
   rows[0] = run_chunks();
   rows[1] = run_ip();
-  XtpConfig xtp;
-  xtp.mtu = 576;
-  xtp.retransmit_timeout = 60 * kMillisecond;
-  rows[2] = run_alt<XtpLikeSender, XtpLikeReceiver>("XTP-like (PDU/packet)",
-                                                    std::move(xtp));
-  MtuDiscoveryConfig mtu;
-  mtu.path_mtu = 576;
-  mtu.retransmit_timeout = 60 * kMillisecond;
-  rows[3] = run_alt<MtuDiscoverySender, MtuDiscoveryReceiver>(
-      "MTU-discovery (opt 4)", std::move(mtu));
+  rows[2] = run_pdu_per_packet("XTP-like (PDU/packet)", PduHeader::kXtp);
+  rows[3] = run_pdu_per_packet("MTU-discovery (opt 4)", PduHeader::kCompact);
 
   TextTable t({"transport", "wire bytes", "packets", "p99 latency ms",
                "bus B/KiB", "complete"});

@@ -6,52 +6,57 @@
 #include "src/edc/crc32.hpp"
 
 namespace chunknet {
-
 namespace {
 
-void send_ack(const std::function<void(std::vector<std::uint8_t>)>& out,
-              std::uint32_t seq) {
-  if (!out) return;
-  std::vector<std::uint8_t> ack;
-  ByteWriter w(ack);
-  w.u8('A');
+constexpr std::uint32_t kXtpKey = 0x5E17;
+
+// The only place the two layouts differ.
+void write_header(ByteWriter& w, PduHeader h, std::uint32_t seq,
+                  std::uint32_t dlen, bool last) {
+  const bool xtp = h == PduHeader::kXtp;
+  if (xtp) w.u32(kXtpKey);
   w.u32(seq);
-  out(ack);
+  if (xtp) {
+    w.u32(dlen);
+    w.u32(last ? 1u : 0u);  // flags: bit0 ETAG
+  } else {
+    w.u16(static_cast<std::uint16_t>(dlen));
+    w.u8(last ? 1 : 0);
+  }
 }
 
-std::uint32_t parse_ack(const SimPacket& pkt) {
-  if (pkt.bytes.size() != 5 || pkt.bytes[0] != 'A') return 0xFFFFFFFFu;
-  ByteReader r(pkt.bytes);
-  r.u8();
-  return r.u32();
+/// Reads seq and dlen and skips the flags; false on a foreign XTP key.
+bool read_header(ByteReader& r, PduHeader h, std::uint32_t& seq,
+                 std::uint32_t& dlen) {
+  const bool xtp = h == PduHeader::kXtp;
+  if (xtp && r.u32() != kXtpKey) return false;
+  seq = r.u32();
+  dlen = xtp ? r.u32() : r.u16();
+  r.bytes(xtp ? 4 : 1);
+  return true;
 }
 
 }  // namespace
 
-// ------------------------------------------------------------ XTP-like
-
-XtpLikeSender::XtpLikeSender(Simulator& sim, XtpConfig cfg)
-    : sim_(sim),
+PduPerPacketSender::PduPerPacketSender(Clock& clock, PduPerPacketConfig cfg)
+    : clock_(clock),
       cfg_(std::move(cfg)),
       rto_(cfg_.rto, cfg_.retransmit_timeout) {}
 
-void XtpLikeSender::send_stream(std::span<const std::uint8_t> stream) {
+void PduPerPacketSender::send_stream(std::span<const std::uint8_t> stream) {
   started_ = true;
   const std::size_t body =
-      cfg_.mtu - kXtpHeaderBytes - kXtpTrailerBytes;
+      cfg_.mtu - pdu_header_bytes(cfg_.header) - kPduTrailerBytes;
   std::size_t pos = 0;
   while (pos < stream.size()) {
     const std::size_t n = std::min(body, stream.size() - pos);
+    const auto seq = static_cast<std::uint32_t>(pos);
     Pending p;
     ByteWriter w(p.packet);
-    w.u32(0x5E17);                            // key
-    w.u32(static_cast<std::uint32_t>(pos));   // byte seq
-    w.u32(static_cast<std::uint32_t>(n));     // dlen
-    w.u32(pos + n >= stream.size() ? 1u : 0u);  // ETAG
+    write_header(w, cfg_.header, seq, static_cast<std::uint32_t>(n),
+                 pos + n >= stream.size());
     w.bytes(stream.subspan(pos, n));
     w.u32(crc32(std::span<const std::uint8_t>(p.packet)));  // per-PDU check
-
-    const auto seq = static_cast<std::uint32_t>(pos);
     auto [it, _] = outstanding_.emplace(seq, std::move(p));
     ++stats_.pdus_sent;
     transmit(seq, it->second);
@@ -59,24 +64,19 @@ void XtpLikeSender::send_stream(std::span<const std::uint8_t> stream) {
   }
 }
 
-void XtpLikeSender::transmit(std::uint32_t seq, Pending& p) {
-  ++p.attempts;
-  p.last_sent = sim_.now();
-  if (p.attempts > 1) p.retransmitted = true;
+void PduPerPacketSender::transmit(std::uint32_t seq, Pending& p) {
+  if (++p.attempts > 1) p.retransmitted = true;
+  p.last_sent = clock_.now();
   stats_.bytes_sent += p.packet.size();
   ++stats_.packets_sent;
+  // A synchronous ACK may retire `p` inside send_packet: touch only seq.
   if (cfg_.send_packet) cfg_.send_packet(p.packet);
-  arm_timer(seq);
-}
-
-void XtpLikeSender::arm_timer(std::uint32_t seq) {
-  const SimTime armed_at = sim_.now();
+  const SimTime armed_at = clock_.now();
   const SimTime timeout =
       cfg_.rto.adaptive ? rto_.rto() : cfg_.retransmit_timeout;
-  sim_.arm_in(timeout, [this, seq, armed_at] {
+  clock_.arm_in(timeout, [this, seq, armed_at] {
     auto it = outstanding_.find(seq);
-    if (it == outstanding_.end()) return;
-    if (it->second.last_sent > armed_at) return;
+    if (it == outstanding_.end() || it->second.last_sent > armed_at) return;
     if (it->second.attempts > cfg_.max_retransmits) {
       ++stats_.gave_up;
       outstanding_.erase(it);
@@ -88,167 +88,60 @@ void XtpLikeSender::arm_timer(std::uint32_t seq) {
   });
 }
 
-void XtpLikeSender::on_packet(SimPacket pkt) {
-  const std::uint32_t seq = parse_ack(pkt);
-  auto it = outstanding_.find(seq);
+void PduPerPacketSender::on_packet(SimPacket pkt) {
+  if (pkt.bytes.size() != 5 || pkt.bytes[0] != 'A') return;
+  ByteReader r(std::span<const std::uint8_t>(pkt.bytes).subspan(1));
+  auto it = outstanding_.find(r.u32());
   if (it == outstanding_.end()) return;
-  rto_.on_sample(sim_.now() - it->second.last_sent,
+  rto_.on_sample(clock_.now() - it->second.last_sent,
                  it->second.retransmitted);
   outstanding_.erase(it);
 }
 
-XtpLikeReceiver::XtpLikeReceiver(
-    Simulator& sim, std::size_t app_buffer_bytes,
+PduPerPacketReceiver::PduPerPacketReceiver(
+    Clock& clock, PduHeader header, std::size_t app_buffer_bytes,
     std::function<void(std::vector<std::uint8_t>)> send_control)
-    : sim_(sim),
+    : clock_(clock),
+      header_(header),
       send_control_(std::move(send_control)),
       app_buffer_(app_buffer_bytes, 0) {}
 
-void XtpLikeReceiver::on_packet(SimPacket pkt) {
-  if (pkt.bytes.size() < kXtpHeaderBytes + kXtpTrailerBytes) return;
+void PduPerPacketReceiver::on_packet(SimPacket pkt) {
   const std::span<const std::uint8_t> view(pkt.bytes);
   ByteReader r(view);
-  const std::uint32_t key = r.u32();
-  const std::uint32_t seq = r.u32();
-  const std::uint32_t dlen = r.u32();
-  r.u32();  // flags
-  if (key != 0x5E17 ||
-      pkt.bytes.size() != kXtpHeaderBytes + dlen + kXtpTrailerBytes) {
+  std::uint32_t seq = 0;
+  std::uint32_t dlen = 0;
+  if (!read_header(r, header_, seq, dlen) ||
+      view.size() != pdu_header_bytes(header_) + dlen + kPduTrailerBytes) {
     return;
   }
   const auto body = r.bytes(dlen);
   const std::uint32_t check = r.u32();
-  if (check != crc32(view.subspan(0, kXtpHeaderBytes + dlen))) {
+  if (check != crc32(view.first(view.size() - kPduTrailerBytes))) {
     ++stats_.pdus_bad_check;
     return;
   }
-  // Byte seq places the payload — XTP can process disordered arrivals.
-  if (coverage_.covers(seq, seq + dlen)) {
-    ++stats_.duplicates;
-    send_ack(send_control_, seq);  // re-ack so the sender stops
-    return;
-  }
-  if (static_cast<std::size_t>(seq) + dlen <= app_buffer_.size()) {
-    std::copy(body.begin(), body.end(), app_buffer_.begin() + seq);
-    coverage_.add(seq, seq + dlen);
-    stats_.bus_bytes += dlen;
-    const double latency = static_cast<double>(sim_.now() - pkt.created_at);
-    for (std::uint32_t i = 0; i < dlen / 4; ++i) {
-      stats_.delivery_latency_ns.push_back(latency);
+  // Byte seq places the payload — each PDU is processed on arrival,
+  // in whatever order the network delivers it.
+  const std::uint64_t end = std::uint64_t{seq} + dlen;
+  if (coverage_.covers(seq, end)) {
+    ++stats_.duplicates;  // re-ack below so the sender stops
+  } else {
+    if (end <= app_buffer_.size()) {
+      std::copy(body.begin(), body.end(), app_buffer_.begin() + seq);
+      coverage_.add(seq, end);
+      stats_.bus_bytes += dlen;
+      auto& latency = stats_.delivery_latency_ns;  // one sample per word
+      latency.insert(latency.end(), dlen / 4,
+                     static_cast<double>(clock_.now() - pkt.created_at));
     }
+    ++stats_.pdus_ok;
   }
-  ++stats_.pdus_ok;
-  send_ack(send_control_, seq);
-}
-
-// ------------------------------------------------- MTU-discovery (opt 4)
-
-MtuDiscoverySender::MtuDiscoverySender(Simulator& sim, MtuDiscoveryConfig cfg)
-    : sim_(sim),
-      cfg_(std::move(cfg)),
-      rto_(cfg_.rto, cfg_.retransmit_timeout) {}
-
-void MtuDiscoverySender::send_stream(std::span<const std::uint8_t> stream) {
-  started_ = true;
-  const std::size_t body =
-      cfg_.path_mtu - kMtuDiscHeaderBytes - kMtuDiscTrailerBytes;
-  std::size_t pos = 0;
-  while (pos < stream.size()) {
-    const std::size_t n = std::min(body, stream.size() - pos);
-    Pending p;
-    ByteWriter w(p.packet);
-    w.u32(static_cast<std::uint32_t>(pos));
-    w.u16(static_cast<std::uint16_t>(n));
-    w.u8(pos + n >= stream.size() ? 1 : 0);
-    w.bytes(stream.subspan(pos, n));
-    w.u32(crc32(std::span<const std::uint8_t>(p.packet)));
-
-    const auto seq = static_cast<std::uint32_t>(pos);
-    auto [it, _] = outstanding_.emplace(seq, std::move(p));
-    ++stats_.pdus_sent;
-    transmit(seq, it->second);
-    pos += n;
+  if (send_control_) {
+    std::vector<std::uint8_t> ack{'A'};
+    ByteWriter(ack).u32(seq);
+    send_control_(std::move(ack));
   }
-}
-
-void MtuDiscoverySender::transmit(std::uint32_t seq, Pending& p) {
-  ++p.attempts;
-  p.last_sent = sim_.now();
-  if (p.attempts > 1) p.retransmitted = true;
-  stats_.bytes_sent += p.packet.size();
-  ++stats_.packets_sent;
-  if (cfg_.send_packet) cfg_.send_packet(p.packet);
-  arm_timer(seq);
-}
-
-void MtuDiscoverySender::arm_timer(std::uint32_t seq) {
-  const SimTime armed_at = sim_.now();
-  const SimTime timeout =
-      cfg_.rto.adaptive ? rto_.rto() : cfg_.retransmit_timeout;
-  sim_.arm_in(timeout, [this, seq, armed_at] {
-    auto it = outstanding_.find(seq);
-    if (it == outstanding_.end()) return;
-    if (it->second.last_sent > armed_at) return;
-    if (it->second.attempts > cfg_.max_retransmits) {
-      ++stats_.gave_up;
-      outstanding_.erase(it);
-      return;
-    }
-    rto_.on_timeout();
-    ++stats_.retransmissions;
-    transmit(seq, it->second);
-  });
-}
-
-void MtuDiscoverySender::on_packet(SimPacket pkt) {
-  const std::uint32_t seq = parse_ack(pkt);
-  auto it = outstanding_.find(seq);
-  if (it == outstanding_.end()) return;
-  rto_.on_sample(sim_.now() - it->second.last_sent,
-                 it->second.retransmitted);
-  outstanding_.erase(it);
-}
-
-MtuDiscoveryReceiver::MtuDiscoveryReceiver(
-    Simulator& sim, std::size_t app_buffer_bytes,
-    std::function<void(std::vector<std::uint8_t>)> send_control)
-    : sim_(sim),
-      send_control_(std::move(send_control)),
-      app_buffer_(app_buffer_bytes, 0) {}
-
-void MtuDiscoveryReceiver::on_packet(SimPacket pkt) {
-  if (pkt.bytes.size() < kMtuDiscHeaderBytes + kMtuDiscTrailerBytes) return;
-  const std::span<const std::uint8_t> view(pkt.bytes);
-  ByteReader r(view);
-  const std::uint32_t seq = r.u32();
-  const std::uint16_t dlen = r.u16();
-  r.u8();  // flags
-  if (pkt.bytes.size() !=
-      kMtuDiscHeaderBytes + dlen + kMtuDiscTrailerBytes) {
-    return;
-  }
-  const auto body = r.bytes(dlen);
-  const std::uint32_t check = r.u32();
-  if (check != crc32(view.subspan(0, kMtuDiscHeaderBytes + dlen))) {
-    ++stats_.pdus_bad_check;
-    return;
-  }
-  if (coverage_.covers(seq, static_cast<std::uint64_t>(seq) + dlen)) {
-    ++stats_.duplicates;
-    send_ack(send_control_, seq);
-    return;
-  }
-  if (static_cast<std::size_t>(seq) + dlen <= app_buffer_.size()) {
-    std::copy(body.begin(), body.end(), app_buffer_.begin() + seq);
-    coverage_.add(seq, static_cast<std::uint64_t>(seq) + dlen);
-    stats_.bus_bytes += dlen;
-    const double latency = static_cast<double>(sim_.now() - pkt.created_at);
-    for (std::uint32_t i = 0; i < dlen / 4u; ++i) {
-      stats_.delivery_latency_ns.push_back(latency);
-    }
-  }
-  ++stats_.pdus_ok;
-  send_ack(send_control_, seq);
 }
 
 }  // namespace chunknet

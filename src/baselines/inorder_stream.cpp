@@ -30,9 +30,9 @@ std::uint32_t parse_ack(const SimPacket& pkt) {
 
 // --------------------------------------------------------------- sender
 
-InOrderStreamSender::InOrderStreamSender(Simulator& sim,
+InOrderStreamSender::InOrderStreamSender(Clock& clock,
                                          InOrderStreamConfig cfg)
-    : sim_(sim),
+    : clock_(clock),
       cfg_(std::move(cfg)),
       rto_(cfg_.rto, cfg_.retransmit_timeout) {}
 
@@ -63,7 +63,7 @@ void InOrderStreamSender::send_stream(
 void InOrderStreamSender::transmit(std::size_t idx) {
   Segment& s = segments_[idx];
   ++s.attempts;
-  s.last_sent = sim_.now();
+  s.last_sent = clock_.now();
   if (s.attempts > 1) s.retransmitted = true;
   stats_.bytes_sent += s.packet.size();
   ++stats_.packets_sent;
@@ -86,10 +86,10 @@ void InOrderStreamSender::fill_window() {
 void InOrderStreamSender::note_window(bool full_now) {
   if (full_now && !window_full_) {
     window_full_ = true;
-    window_full_since_ = sim_.now();
+    window_full_since_ = clock_.now();
   } else if (!full_now && window_full_) {
     window_full_ = false;
-    stats_.window_stall_ns += sim_.now() - window_full_since_;
+    stats_.window_stall_ns += clock_.now() - window_full_since_;
   }
 }
 
@@ -99,7 +99,7 @@ void InOrderStreamSender::arm_timer() {
   const SimTime timeout =
       cfg_.rto.adaptive ? rto_.rto() : cfg_.retransmit_timeout;
   const std::uint64_t gen = ++timer_gen_;
-  sim_.arm_in(timeout, [this, gen] {
+  clock_.arm_in(timeout, [this, gen] {
     if (gen != timer_gen_) return;  // superseded by a newer arm
     if (stats_.gave_up > 0 || base_ >= segments_.size()) return;
     Segment& s = segments_[base_];
@@ -128,7 +128,7 @@ void InOrderStreamSender::on_packet(SimPacket pkt) {
   if (ack > base_) {
     // Karn: sample RTT only from a never-retransmitted segment.
     const Segment& s = segments_[ack - 1];
-    if (!s.retransmitted) rto_.on_sample(sim_.now() - s.last_sent, false);
+    if (!s.retransmitted) rto_.on_sample(clock_.now() - s.last_sent, false);
     base_ = ack;
     dupack_count_ = 0;
     fast_retx_done_ = false;
@@ -154,14 +154,14 @@ void InOrderStreamSender::on_packet(SimPacket pkt) {
 // ------------------------------------------------------------- receiver
 
 InOrderStreamReceiver::InOrderStreamReceiver(
-    Simulator& sim, std::size_t app_buffer_bytes,
+    Clock& clock, std::size_t app_buffer_bytes,
     std::function<void(std::vector<std::uint8_t>)> send_control)
-    : sim_(sim),
+    : clock_(clock),
       send_control_(std::move(send_control)),
       app_buffer_(app_buffer_bytes, 0) {}
 
 void InOrderStreamReceiver::account_occupancy() {
-  const SimTime now = sim_.now();
+  const SimTime now = clock_.now();
   stats_.reseq_byte_ns += stats_.reseq_bytes_now * (now - occupancy_mark_);
   occupancy_mark_ = now;
 }
@@ -194,7 +194,7 @@ void InOrderStreamReceiver::on_packet(SimPacket pkt) {
       delivered_bytes_ += dlen;
       stats_.bus_bytes += dlen;
       stats_.delivery_latency_ns.push_back(
-          static_cast<double>(sim_.now() - pkt.created_at));
+          static_cast<double>(clock_.now() - pkt.created_at));
     }
     ++stats_.segments_ok;
     ++next_expected_;
@@ -208,14 +208,14 @@ void InOrderStreamReceiver::on_packet(SimPacket pkt) {
         delivered_bytes_ += p.payload.size();
         stats_.bus_bytes += p.payload.size();
         stats_.delivery_latency_ns.push_back(
-            static_cast<double>(sim_.now() - p.created_at));
+            static_cast<double>(clock_.now() - p.created_at));
       }
       stats_.reseq_bytes_now -= p.payload.size();
       parked_.erase(parked_.begin());
       ++next_expected_;
     }
     if (parked_.empty() && stalled_) {
-      stats_.hol_stall_ns += sim_.now() - stall_start_;
+      stats_.hol_stall_ns += clock_.now() - stall_start_;
       stalled_ = false;
     }
   } else if (seq > next_expected_) {
@@ -225,7 +225,7 @@ void InOrderStreamReceiver::on_packet(SimPacket pkt) {
     } else {
       account_occupancy();
       if (parked_.empty()) {
-        stall_start_ = sim_.now();
+        stall_start_ = clock_.now();
         stalled_ = true;
         ++stats_.hol_stalls;
       }

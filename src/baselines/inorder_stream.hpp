@@ -22,7 +22,7 @@
 #include <span>
 #include <vector>
 
-#include "src/netsim/simulator.hpp"
+#include "src/common/runtime.hpp"
 #include "src/transport/rto.hpp"
 
 namespace chunknet {
@@ -47,7 +47,7 @@ inline constexpr std::size_t kInOrderTrailerBytes = 4;
 
 class InOrderStreamSender final : public PacketSink {
  public:
-  InOrderStreamSender(Simulator& sim, InOrderStreamConfig cfg);
+  InOrderStreamSender(Clock& clock, InOrderStreamConfig cfg);
 
   void send_stream(std::span<const std::uint8_t> stream);
   void on_packet(SimPacket pkt) override;  ///< cumulative ACKs
@@ -85,7 +85,7 @@ class InOrderStreamSender final : public PacketSink {
   void arm_timer();
   void note_window(bool was_full);
 
-  Simulator& sim_;
+  Clock& clock_;
   InOrderStreamConfig cfg_;
   RtoEstimator rto_;
   std::vector<Segment> segments_;
@@ -103,7 +103,7 @@ class InOrderStreamSender final : public PacketSink {
 class InOrderStreamReceiver final : public PacketSink {
  public:
   InOrderStreamReceiver(
-      Simulator& sim, std::size_t app_buffer_bytes,
+      Clock& clock, std::size_t app_buffer_bytes,
       std::function<void(std::vector<std::uint8_t>)> send_control);
 
   void on_packet(SimPacket pkt) override;
@@ -143,7 +143,7 @@ class InOrderStreamReceiver final : public PacketSink {
   };
   void account_occupancy();
 
-  Simulator& sim_;
+  Clock& clock_;
   std::function<void(std::vector<std::uint8_t>)> send_control_;
   std::vector<std::uint8_t> app_buffer_;
   std::map<std::uint32_t, Parked> parked_;  // keyed by segment index

@@ -74,9 +74,9 @@ RelayFn ip_fragment_relay(RelayStats* stats) {
 
 // --------------------------------------------------------------- sender
 
-IpFragTransportSender::IpFragTransportSender(Simulator& sim,
+IpFragTransportSender::IpFragTransportSender(Clock& clock,
                                              IpSenderConfig cfg)
-    : sim_(sim),
+    : clock_(clock),
       cfg_(std::move(cfg)),
       rto_(cfg_.rto, cfg_.retransmit_timeout) {
   if (cfg_.obs != nullptr && cfg_.obs->metrics != nullptr) {
@@ -117,7 +117,7 @@ void IpFragTransportSender::send_stream(
 
 void IpFragTransportSender::transmit(std::uint32_t id, Pending& p) {
   ++p.attempts;
-  p.last_sent = sim_.now();
+  p.last_sent = clock_.now();
   if (p.attempts > 1) p.retransmitted = true;
   const std::size_t body_per = cfg_.mtu - kIpFragHeaderBytes;
   std::size_t off = 0;
@@ -138,10 +138,10 @@ void IpFragTransportSender::transmit(std::uint32_t id, Pending& p) {
 }
 
 void IpFragTransportSender::arm_timer(std::uint32_t id) {
-  const SimTime armed_at = sim_.now();
+  const SimTime armed_at = clock_.now();
   const SimTime timeout =
       cfg_.rto.adaptive ? rto_.rto() : cfg_.retransmit_timeout;
-  sim_.arm_in(timeout, [this, id, armed_at] {
+  clock_.arm_in(timeout, [this, id, armed_at] {
     auto it = outstanding_.find(id);
     if (it == outstanding_.end()) return;
     if (it->second.last_sent > armed_at) return;
@@ -167,7 +167,7 @@ void IpFragTransportSender::on_packet(SimPacket pkt) {
   auto it = outstanding_.find(id);
   if (it == outstanding_.end()) return;
   if (kind == 'A') {
-    rto_.on_sample(sim_.now() - it->second.last_sent,
+    rto_.on_sample(clock_.now() - it->second.last_sent,
                    it->second.retransmitted);
     ++stats_.datagrams_acked;
     outstanding_.erase(it);
@@ -186,9 +186,9 @@ void IpFragTransportSender::on_packet(SimPacket pkt) {
 
 // ------------------------------------------------------------- receiver
 
-IpFragTransportReceiver::IpFragTransportReceiver(Simulator& sim,
+IpFragTransportReceiver::IpFragTransportReceiver(Clock& clock,
                                                  IpReceiverConfig cfg)
-    : sim_(sim),
+    : clock_(clock),
       cfg_(std::move(cfg)),
       pool_(cfg_.reassembly_pool_bytes),
       app_buffer_(cfg_.app_buffer_bytes, 0) {
@@ -285,7 +285,7 @@ void IpFragTransportReceiver::on_packet(SimPacket pkt) {
   ++stats_.datagrams_ok;
   obs_add(m_.datagrams_ok);
   const double latency =
-      static_cast<double>(sim_.now() - first_fragment_at_[f.dgram_id]);
+      static_cast<double>(clock_.now() - first_fragment_at_[f.dgram_id]);
   // One latency sample per 4-byte element, comparable with the chunk
   // receiver's per-element samples.
   obs_observe(m_.delivery_latency, latency, payload_len / 4);

@@ -22,8 +22,8 @@
 #include <span>
 #include <vector>
 
+#include "src/common/runtime.hpp"
 #include "src/netsim/router.hpp"
-#include "src/netsim/simulator.hpp"
 #include "src/reassembly/ip_reassembly.hpp"
 #include "src/transport/rto.hpp"
 
@@ -71,7 +71,7 @@ struct IpSenderConfig {
 /// then an entire TPDU is retransmitted" — [KENT 87] via §3).
 class IpFragTransportSender final : public PacketSink {
  public:
-  IpFragTransportSender(Simulator& sim, IpSenderConfig cfg);
+  IpFragTransportSender(Clock& clock, IpSenderConfig cfg);
 
   void send_stream(std::span<const std::uint8_t> stream);
 
@@ -115,7 +115,7 @@ class IpFragTransportSender final : public PacketSink {
     Counter* bytes_sent{nullptr};
   };
 
-  Simulator& sim_;
+  Clock& clock_;
   IpSenderConfig cfg_;
   RtoEstimator rto_;
   ObsHandles m_;
@@ -137,7 +137,7 @@ struct IpReceiverConfig {
 /// Receiver: physical reassembly, then CRC verification, then placement.
 class IpFragTransportReceiver final : public PacketSink {
  public:
-  IpFragTransportReceiver(Simulator& sim, IpReceiverConfig cfg);
+  IpFragTransportReceiver(Clock& clock, IpReceiverConfig cfg);
 
   void on_packet(SimPacket pkt) override;
 
@@ -169,7 +169,7 @@ class IpFragTransportReceiver final : public PacketSink {
     Histogram* delivery_latency{nullptr};
   };
 
-  Simulator& sim_;
+  Clock& clock_;
   IpReceiverConfig cfg_;
   ObsHandles m_;
   IpReassemblyBuffer pool_;

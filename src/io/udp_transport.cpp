@@ -27,11 +27,13 @@ UdpSenderSession::UdpSenderSession(EventLoop& loop,
       std::make_unique<ChunkTransportSender>(loop.clock(), std::move(sc));
 
   // Feedback path: ACK/NAK/grant packets from the receiver. The sender
-  // decodes the envelope itself; malformed feedback dies in its strict
-  // decoder exactly like malformed data dies in the receiver's.
+  // decodes the envelope in place; malformed feedback dies in its strict
+  // decoder exactly like malformed data dies in the receiver's. Only
+  // read, `buf` stays in the endpoint's receive slot for the next
+  // datagram, so feedback costs no allocation.
   endpoint_->on_datagram(
       [this](PooledBuffer&& buf, const UdpAddress& /*from*/) {
-        sender_->on_packet(SimPacket{.bytes = buf.take()});
+        sender_->on_feedback(buf.bytes());
       });
 }
 

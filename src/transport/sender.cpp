@@ -419,12 +419,15 @@ void ChunkTransportSender::handle_gap_nak(const ChunkView& signal) {
   arm_timer(nak->tpdu_id);
 }
 
-void ChunkTransportSender::on_packet(SimPacket pkt) {
-  // Feedback is read in place: the views alias pkt.bytes, which lives
-  // until return. The scratch is taken for the call, so a re-entrant
-  // on_packet decodes into a vector of its own.
+void ChunkTransportSender::on_packet(SimPacket pkt) { on_feedback(pkt.bytes); }
+
+void ChunkTransportSender::on_feedback(
+    std::span<const std::uint8_t> envelope) {
+  // Feedback is read in place: the views alias `envelope`, which the
+  // caller keeps alive until return. The scratch is taken for the call,
+  // so a re-entrant call decodes into a vector of its own.
   std::vector<ChunkView> views = std::move(feedback_views_);
-  const bool ok = decode_packet_views(pkt.bytes, views);
+  const bool ok = decode_packet_views(envelope, views);
   if (ok) handle_feedback(views);
   feedback_views_ = std::move(views);
 }

@@ -100,6 +100,9 @@ class ChunkTransportSender final : public PacketSink {
 
   /// Feedback channel: ACK/NAK chunks arrive here.
   void on_packet(SimPacket pkt) override;
+  /// The same, decoding an envelope the caller owns (e.g. a pooled
+  /// receive buffer), which must stay alive until this returns.
+  void on_feedback(std::span<const std::uint8_t> envelope);
 
   /// Every TPDU was positively acknowledged. A transfer that gave up
   /// on a TPDU also drains `outstanding_`, so this is NOT merely

@@ -1,10 +1,10 @@
 // End-to-end chunk transport over real loopback UDP sockets: bit-exact
 // delivery, survival of injected syscall faults, mid-transfer receiver
 // restart, truthful drain accounting, the ingress guard's hostile-
-// input screens and its credit path, RTOs armed on current time, and
-// control chunks coalesced into shared envelopes. Everything runs on
-// one EventLoop in one process — two sockets, real datagrams, real
-// epoll.
+// input screens and its credit path, RTOs armed on current time,
+// control chunks coalesced into shared envelopes, and feedback buffers
+// recycled through the pool. Everything runs on one EventLoop in one
+// process — two sockets, real datagrams, real epoll.
 #include <gtest/gtest.h>
 
 #include <errno.h>
@@ -653,6 +653,48 @@ TEST(UdpLoopback, ControlChunksShareEnvelopes) {
   EXPECT_LE(sys.ctrl_dgrams * 8, sys.data_dgrams)
       << sys.ctrl_dgrams << " control datagrams for " << sys.data_dgrams
       << " data datagrams";
+}
+
+// Feedback is decoded in place from the pooled receive buffer, so the
+// buffer stays in the endpoint's receive slot and carries the next
+// datagram: over a 1 MiB transfer the feedback far outnumbers the
+// buffers the pool ever allocated. (Handing each buffer up the stack
+// cost one allocation per feedback datagram.)
+TEST(UdpLoopback, FeedbackBuffersAreRecycled) {
+  EventLoop loop;
+  const auto stream = pattern(1 << 20);
+
+  UdpReceiverSessionConfig rcfg;
+  rcfg.bind = UdpAddress{0x7f000001, 0};
+  rcfg.receiver = fast_receiver_config(stream.size());
+  UdpReceiverSession rx(loop, rcfg);
+  ASSERT_TRUE(rx.ok());
+
+  PacketBufferPool pool;  // outlives the sender's endpoint
+  UdpSenderSessionConfig scfg;
+  scfg.peer = rx.endpoint().local_addr();
+  scfg.sender = fast_sender_config();
+  scfg.sender.retransmit_timeout = 250 * kMillisecond;
+  scfg.endpoint.pool = &pool;
+  // A small receive batch, so the feedback outnumbers the buffers the
+  // endpoint keeps armed many times over.
+  scfg.endpoint.rx_batch = 4;
+  UdpSenderSession tx(loop, scfg);
+  ASSERT_TRUE(tx.ok());
+
+  tx.send_stream(stream);
+  ASSERT_TRUE(rx.run_until_complete(stream.size() / kElem,
+                                    loop.now() + 20 * kSecond));
+  EXPECT_EQ(rx.drain(loop.now() + kSecond), 0u);
+  ASSERT_TRUE(tx.run_until_finished(loop.now() + 10 * kSecond));
+  EXPECT_TRUE(tx.sender().all_acked());
+
+  const PacketBufferPool::Stats st = pool.stats();
+  const std::uint64_t feedback = tx.endpoint().stats().datagrams_received;
+  EXPECT_LE(st.allocations, scfg.endpoint.rx_batch + 4u)
+      << st.allocations << " allocations for " << feedback
+      << " feedback datagrams";
+  EXPECT_GT(feedback, 2 * st.allocations);
 }
 
 // Draining the receiver right after the stream completes still gets
