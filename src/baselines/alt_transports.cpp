@@ -69,14 +69,12 @@ void PduPerPacketSender::transmit(std::uint32_t seq, Pending& p) {
   p.last_sent = clock_.now();
   stats_.bytes_sent += p.packet.size();
   ++stats_.packets_sent;
-  // A synchronous ACK may retire `p` inside send_packet: touch only seq.
+  // A synchronous ACK may retire `p` inside send_packet: look it up.
   if (cfg_.send_packet) cfg_.send_packet(p.packet);
-  const SimTime armed_at = clock_.now();
-  const SimTime timeout =
-      cfg_.rto.adaptive ? rto_.rto() : cfg_.retransmit_timeout;
-  clock_.arm_in(timeout, [this, seq, armed_at] {
-    auto it = outstanding_.find(seq);
-    if (it == outstanding_.end() || it->second.last_sent > armed_at) return;
+  const auto it = outstanding_.find(seq);
+  if (it == outstanding_.end()) return;
+  clock_.cancel(it->second.rto);
+  it->second.rto = clock_.arm_in(rto_.timeout(), [this, it] {
     if (it->second.attempts > cfg_.max_retransmits) {
       ++stats_.gave_up;
       outstanding_.erase(it);
@@ -84,7 +82,7 @@ void PduPerPacketSender::transmit(std::uint32_t seq, Pending& p) {
     }
     rto_.on_timeout();
     ++stats_.retransmissions;
-    transmit(seq, it->second);
+    transmit(it->first, it->second);
   });
 }
 
@@ -95,6 +93,7 @@ void PduPerPacketSender::on_packet(SimPacket pkt) {
   if (it == outstanding_.end()) return;
   rto_.on_sample(clock_.now() - it->second.last_sent,
                  it->second.retransmitted);
+  clock_.cancel(it->second.rto);
   outstanding_.erase(it);
 }
 

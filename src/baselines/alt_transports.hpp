@@ -46,6 +46,9 @@ struct PduPerPacketConfig {
 class PduPerPacketSender final : public PacketSink {
  public:
   PduPerPacketSender(Clock& clock, PduPerPacketConfig cfg);
+  ~PduPerPacketSender() override {
+    for (const auto& [seq, p] : outstanding_) clock_.cancel(p.rto);
+  }
 
   void send_stream(std::span<const std::uint8_t> stream);
   void on_packet(SimPacket pkt) override;  ///< 5-byte ACKs: 'A' + seq
@@ -68,9 +71,10 @@ class PduPerPacketSender final : public PacketSink {
     std::vector<std::uint8_t> packet;
     int attempts{0};
     SimTime last_sent{0};
+    TimerId rto{0};
     bool retransmitted{false};  ///< Karn: ACK RTT sample is ambiguous
   };
-  /// Sends `p` and arms its retransmission timer.
+  /// Sends `p` and re-arms its retransmission timer.
   void transmit(std::uint32_t seq, Pending& p);
 
   Clock& clock_;

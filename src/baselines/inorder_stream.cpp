@@ -95,13 +95,9 @@ void InOrderStreamSender::note_window(bool full_now) {
 
 void InOrderStreamSender::arm_timer() {
   // One retransmission timer covering the head of the window; re-arming
-  // invalidates every older pending timer (TCP's single-timer model).
-  const SimTime timeout =
-      cfg_.rto.adaptive ? rto_.rto() : cfg_.retransmit_timeout;
-  const std::uint64_t gen = ++timer_gen_;
-  clock_.arm_in(timeout, [this, gen] {
-    if (gen != timer_gen_) return;  // superseded by a newer arm
-    if (stats_.gave_up > 0 || base_ >= segments_.size()) return;
+  // replaces the pending one (TCP's single-timer model).
+  clock_.cancel(timer_);
+  timer_ = clock_.arm_in(rto_.timeout(), [this] {
     Segment& s = segments_[base_];
     if (s.attempts > cfg_.max_retransmits) {
       // Abandon the whole stream: a byte-stream transport cannot skip
@@ -136,7 +132,7 @@ void InOrderStreamSender::on_packet(SimPacket pkt) {
     if (base_ < next_) {
       arm_timer();
     } else {
-      ++timer_gen_;  // nothing outstanding: cancel the pending timer
+      clock_.cancel(timer_);  // nothing outstanding
       note_window(false);
     }
   } else if (ack == base_ && base_ < next_) {

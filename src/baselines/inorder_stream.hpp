@@ -48,6 +48,7 @@ inline constexpr std::size_t kInOrderTrailerBytes = 4;
 class InOrderStreamSender final : public PacketSink {
  public:
   InOrderStreamSender(Clock& clock, InOrderStreamConfig cfg);
+  ~InOrderStreamSender() override { clock_.cancel(timer_); }
 
   void send_stream(std::span<const std::uint8_t> stream);
   void on_packet(SimPacket pkt) override;  ///< cumulative ACKs
@@ -91,7 +92,7 @@ class InOrderStreamSender final : public PacketSink {
   std::vector<Segment> segments_;
   std::size_t base_{0};  ///< lowest unacked segment
   std::size_t next_{0};  ///< next never-sent segment
-  std::uint64_t timer_gen_{0};  ///< newest armed timer wins
+  TimerId timer_{0};  ///< the one retransmission timer
   int dupack_count_{0};
   bool fast_retx_done_{false};  ///< one fast retransmit per loss event
   bool window_full_{false};

@@ -134,17 +134,11 @@ void IpFragTransportSender::transmit(std::uint32_t id, Pending& p) {
     if (cfg_.send_packet) cfg_.send_packet(std::move(pkt));
     off += n;
   }
-  arm_timer(id);
-}
-
-void IpFragTransportSender::arm_timer(std::uint32_t id) {
-  const SimTime armed_at = clock_.now();
-  const SimTime timeout =
-      cfg_.rto.adaptive ? rto_.rto() : cfg_.retransmit_timeout;
-  clock_.arm_in(timeout, [this, id, armed_at] {
-    auto it = outstanding_.find(id);
-    if (it == outstanding_.end()) return;
-    if (it->second.last_sent > armed_at) return;
+  // Looked up afresh: a synchronous wire may have acked it meanwhile.
+  const auto it = outstanding_.find(id);
+  if (it == outstanding_.end()) return;
+  clock_.cancel(it->second.rto);
+  it->second.rto = clock_.arm_in(rto_.timeout(), [this, it] {
     if (it->second.attempts > cfg_.max_retransmits) {
       ++stats_.gave_up;
       obs_add(m_.gave_up);
@@ -154,7 +148,7 @@ void IpFragTransportSender::arm_timer(std::uint32_t id) {
     rto_.on_timeout();
     ++stats_.retransmissions;
     obs_add(m_.retransmissions);
-    transmit(id, it->second);
+    transmit(it->first, it->second);
   });
 }
 
@@ -170,8 +164,10 @@ void IpFragTransportSender::on_packet(SimPacket pkt) {
     rto_.on_sample(clock_.now() - it->second.last_sent,
                    it->second.retransmitted);
     ++stats_.datagrams_acked;
+    clock_.cancel(it->second.rto);
     outstanding_.erase(it);
   } else if (kind == 'N') {
+    clock_.cancel(it->second.rto);  // given up, or re-armed by transmit
     if (it->second.attempts > cfg_.max_retransmits) {
       ++stats_.gave_up;
       obs_add(m_.gave_up);

@@ -72,6 +72,9 @@ struct IpSenderConfig {
 class IpFragTransportSender final : public PacketSink {
  public:
   IpFragTransportSender(Clock& clock, IpSenderConfig cfg);
+  ~IpFragTransportSender() override {
+    for (const auto& [id, p] : outstanding_) clock_.cancel(p.rto);
+  }
 
   void send_stream(std::span<const std::uint8_t> stream);
 
@@ -102,10 +105,10 @@ class IpFragTransportSender final : public PacketSink {
     std::uint32_t stream_base{0};
     int attempts{0};
     SimTime last_sent{0};
+    TimerId rto{0};
     bool retransmitted{false};  ///< Karn: ACK RTT sample is ambiguous
   };
   void transmit(std::uint32_t id, Pending& p);
-  void arm_timer(std::uint32_t id);
 
   struct ObsHandles {
     Counter* datagrams_sent{nullptr};

@@ -8,6 +8,7 @@
 #include "src/chunk/codec.hpp"
 #include "src/common/resource_governor.hpp"
 #include "src/common/rng.hpp"
+#include "src/common/timer_wheel.hpp"
 #include "src/netsim/multipath.hpp"
 #include "src/netsim/router.hpp"
 #include "src/obs/metrics.hpp"
@@ -103,8 +104,7 @@ struct CaptureRig {
   std::unique_ptr<TimeSeriesSampler> sampler;
 
   void arm(const ChaosCapture& cap, ObsContext& obs,
-           const MetricsRegistry& reg, const ChaosScenario& sc,
-           Simulator& sim) {
+           const MetricsRegistry& reg, const ChaosScenario& sc) {
     tracer = std::make_unique<ChunkTracer>(cap.trace_capacity);
     spans = std::make_unique<SpanRecorder>(cap.span_capacity);
     obs.tracer = tracer.get();
@@ -131,7 +131,6 @@ struct CaptureRig {
     sampler->track_gauge("governor.charged_bytes");
     sampler->track_counter("governor.sheds");
     sampler->track_counter("flow.grants_sent");
-    attach_sampler(sim, *sampler);
   }
 
   void finish(ChaosCapture& cap, Simulator& sim,
@@ -178,7 +177,7 @@ ChaosResult run_chaos(const ChaosScenario& sc, ChaosCapture* capture) {
   MetricsRegistry reg;
   ObsContext obs{&reg, nullptr};
   CaptureRig rig;
-  if (capture != nullptr) rig.arm(*capture, obs, reg, sc, sim);
+  if (capture != nullptr) rig.arm(*capture, obs, reg, sc);
 
   const std::uint32_t nconn = std::max<std::uint32_t>(1, sc.connections);
   const std::size_t nbytes = sc.stream_bytes();
@@ -424,7 +423,11 @@ ChaosResult run_chaos(const ChaosScenario& sc, ChaosCapture* capture) {
 
   // ---- run to quiescence under the watchdog
   for (ChaosConn& c : conns) c.sender->send_stream(c.stream);
-  sim.run(sc.watchdog);
+  if (capture != nullptr) {
+    run_sampled(sim, *rig.sampler, sc.watchdog);
+  } else {
+    sim.run(sc.watchdog);
+  }
   res.sim_end = sim.now();
 
   const auto& dstats = demux.stats();

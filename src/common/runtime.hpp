@@ -1,7 +1,8 @@
 // What protocol code needs from whatever runs it: time and deadlines
 // (Clock), and the packet unit (SimPacket, PacketSink).
 //
-// The sender, receiver and demultiplexer see time only through `Clock`.
+// The sender, receiver and demultiplexer see time only through `Clock`,
+// the one deadline API: arm_at() returns an id that cancel() drops.
 // Simulator (below) implements it with exact heap timing, one event per
 // deadline; TimerWheel and SimTimerWheel (timer_wheel.hpp) implement it
 // on a wheel's tick. DESIGN.md "The clock seam" says why both exist.
@@ -23,36 +24,49 @@ inline constexpr SimTime kMicrosecond = 1'000;
 inline constexpr SimTime kMillisecond = 1'000'000;
 inline constexpr SimTime kSecond = 1'000'000'000;
 
-/// A clock that can also run a callback at a deadline on itself.
-/// Deadlines cannot be cancelled here: the transport guards each one
-/// with an epoch check instead. Cancellation is a TimerWheel feature.
+/// Names one armed deadline. 0 is never issued, so it can mean "none".
+/// Ids encode {slot, generation}: cancelling one that already fired (or
+/// was cancelled) is a safe no-op, even after its slot was reused.
+using TimerId = std::uint64_t;
+
+/// A clock that runs callbacks at deadlines; they hold its address.
 class Clock {
  public:
+  Clock() = default;
+  Clock(const Clock&) = delete;
+  Clock& operator=(const Clock&) = delete;
   virtual ~Clock() = default;
 
   virtual SimTime now() const = 0;
   /// Runs `cb` at or after `deadline` (absolute, this clock's time).
-  virtual void arm_at(SimTime deadline, std::function<void()> cb) = 0;
+  virtual TimerId arm_at(SimTime deadline, std::function<void()> cb) = 0;
+  /// Drops a pending deadline so it never runs. True when it was still
+  /// pending; false (a no-op) for 0 and for fired or cancelled ids.
+  virtual bool cancel(TimerId id) = 0;
 
-  void arm_in(SimTime delay, std::function<void()> cb) {
-    arm_at(now() + delay, std::move(cb));
+  TimerId arm_in(SimTime delay, std::function<void()> cb) {
+    return arm_at(now() + delay, std::move(cb));
   }
 };
 
 /// Minimal event-driven scheduler: stable FIFO order among events at
-/// the same timestamp.
+/// the same timestamp. cancel() bumps the id's slot generation, leaving
+/// a tombstone in the heap that is skipped when popped: it neither runs
+/// nor moves now(), so live events keep their exact times. Slots are
+/// recycled, bounding them by the events pending at once.
 class Simulator final : public Clock {
  public:
   SimTime now() const override { return now_; }
   /// One heap event per deadline, fired at exactly `t` (clamped to now).
-  void arm_at(SimTime t, std::function<void()> fn) override;
+  TimerId arm_at(SimTime t, std::function<void()> fn) override;
+  bool cancel(TimerId id) override;
 
-  /// Runs until the event queue drains or `deadline` passes.
+  /// Runs until no live event remains or `deadline` passes.
   /// Returns the number of events executed.
   std::uint64_t run(SimTime deadline = ~SimTime{0});
 
-  /// True if any event remains.
-  bool pending() const { return !events_.empty(); }
+  /// True if any live (armed, not cancelled) event remains.
+  bool pending() const { return free_slots_.size() < gens_.size(); }
 
   std::uint64_t next_packet_id() { return ++packet_counter_; }
 
@@ -60,8 +74,10 @@ class Simulator final : public Clock {
   struct Event {
     SimTime t;
     std::uint64_t seq;  // tie-break: FIFO among equal timestamps
+    TimerId id;
     std::function<void()> fn;
   };
+
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       return a.t != b.t ? a.t > b.t : a.seq > b.seq;
@@ -72,6 +88,8 @@ class Simulator final : public Clock {
   std::uint64_t seq_counter_{0};
   std::uint64_t packet_counter_{0};
   std::priority_queue<Event, std::vector<Event>, Later> events_;
+  std::vector<std::uint32_t> gens_;  ///< per slot; a slot is live or free
+  std::vector<std::uint32_t> free_slots_;
 };
 
 /// A packet in flight: opaque bytes plus bookkeeping for latency traces.
@@ -84,9 +102,12 @@ struct SimPacket {
   int hops{0};                 ///< links traversed so far
 };
 
-/// Anything that can receive packets from a link.
+/// Anything that can receive packets from a link, which holds it.
 class PacketSink {
  public:
+  PacketSink() = default;
+  PacketSink(const PacketSink&) = delete;
+  PacketSink& operator=(const PacketSink&) = delete;
   virtual ~PacketSink() = default;
   virtual void on_packet(SimPacket pkt) = 0;
 };

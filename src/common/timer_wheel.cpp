@@ -100,7 +100,7 @@ void TimerWheel::place(std::int32_t n) {
   }
 }
 
-TimerWheel::TimerId TimerWheel::arm(SimTime deadline, std::function<void()> cb) {
+TimerId TimerWheel::arm_at(SimTime deadline, std::function<void()> cb) {
   const std::uint64_t dt = (deadline + cfg_.tick - 1) / cfg_.tick;
   const std::int32_t n = alloc_node();
   Node& node = slab_[static_cast<std::size_t>(n)];
@@ -118,8 +118,7 @@ TimerWheel::TimerId TimerWheel::arm(SimTime deadline, std::function<void()> cb) 
 }
 
 bool TimerWheel::cancel(TimerId id) {
-  if (id == 0) return false;
-  const std::uint64_t idx64 = (id >> 32) - 1;
+  const std::uint64_t idx64 = (id >> 32) - 1;  // id 0 wraps out of range
   if (idx64 >= slab_.size()) return false;
   const std::int32_t n = static_cast<std::int32_t>(idx64);
   Node& node = slab_[static_cast<std::size_t>(n)];
@@ -163,9 +162,9 @@ void TimerWheel::step_boundaries() {
   cascade(1, static_cast<int>((t >> kSlotBits) & kSlotMask));
 }
 
-void TimerWheel::fire_slot(int slot) {
-  while (slots_[0][slot] != kNil) {
-    const std::int32_t n = slots_[0][slot];
+void TimerWheel::fire(const std::int32_t& head) {
+  while (head != kNil) {
+    const std::int32_t n = head;
     Node& node = slab_[static_cast<std::size_t>(n)];
     std::function<void()> cb = std::move(node.cb);
     unlink(n);
@@ -176,23 +175,10 @@ void TimerWheel::fire_slot(int slot) {
   }
 }
 
-void TimerWheel::fire_due() {
-  while (due_head_ != kNil) {
-    const std::int32_t n = due_head_;
-    Node& node = slab_[static_cast<std::size_t>(n)];
-    std::function<void()> cb = std::move(node.cb);
-    unlink(n);
-    free_node(n);
-    --armed_;
-    ++stats_.fired;
-    if (cb) cb();
-  }
-}
-
 void TimerWheel::advance(SimTime now) {
   if (now > now_) now_ = now;
   const std::uint64_t target = now / cfg_.tick;
-  fire_due();
+  fire(due_head_);
   while (cur_tick_ < target) {
     if (level_count_[0] == 0 && due_head_ == kNil) {
       // Nothing can fire before the next level-1 window opens: jump.
@@ -205,8 +191,8 @@ void TimerWheel::advance(SimTime now) {
     }
     ++cur_tick_;
     if ((cur_tick_ & kSlotMask) == 0) step_boundaries();
-    fire_slot(static_cast<int>(cur_tick_ & kSlotMask));
-    fire_due();  // callbacks may arm immediately-due timers
+    fire(slots_[0][cur_tick_ & kSlotMask]);
+    fire(due_head_);  // callbacks may arm immediately-due timers
   }
 }
 

@@ -2,11 +2,12 @@
 //
 // The transport arms a deadline per in-flight TPDU (RTO), per
 // incomplete TPDU (gap-NAK), per blocked sender (zero-credit probe)
-// and per idle connection (demux idle eviction). Scheduling each of
-// those as its own simulator event means a binary-heap node and an
-// allocated closure per deadline — and no way to CANCEL, so finished
-// work leaves dead events to drain. The wheel gives O(1) arm, O(1)
-// cancel, and amortized O(1) fire:
+// and per idle connection (demux idle eviction), and cancels most of
+// them long before they are due. Scheduling each as its own simulator
+// event costs a binary-heap node and an allocated closure per
+// deadline, and a cancelled one stays in the heap until its time. The
+// wheel gives O(1) arm, O(1) cancel (the node is unlinked and
+// recycled), and amortized O(1) fire:
 //
 //   4 levels x 256 slots; level L spans tick<<(8L) per slot, so a
 //   1 ms tick covers ~49 days of deadline horizon. Timers land in the
@@ -19,16 +20,14 @@
 // milliseconds against a 1 ms default tick, so the quantization is
 // noise there by construction.
 //
-// TimerId encodes {slab index, generation}: cancel of an already-fired
-// (or re-armed) id is a safe no-op, so callers never chase use-after-
-// fire races.
-//
-// `TimerWheel` is the pure data structure and a Clock of its own: its
-// now() is the time of the latest advance(), so whoever drives it (the
-// bench, the real-I/O EventLoop) decides what time the code armed on
-// it sees. `SimTimerWheel` couples one to another Clock, normally a
-// Simulator, with a single self-rescheduling pump deadline, so wheel
-// deadlines fire on that clock without one heap event per timer.
+// `TimerWheel` is the pure data structure and a Clock of its own
+// (TimerIds are {slab index, generation}): its now() is the time of
+// the latest advance(), so whoever drives it (the bench, the real-I/O
+// EventLoop) decides what time the code armed on it sees.
+// `SimTimerWheel` couples one to another Clock, normally a Simulator,
+// with one pump deadline on that clock at the earliest pending wheel
+// deadline, so wheel deadlines fire on it without one heap event per
+// timer.
 #pragma once
 
 #include <cstddef>
@@ -43,9 +42,6 @@ namespace chunknet {
 
 class TimerWheel final : public Clock {
  public:
-  /// 0 is never a valid id: arm() always returns non-zero.
-  using TimerId = std::uint64_t;
-
   struct Config {
     SimTime tick{1 * kMillisecond};
   };
@@ -60,19 +56,13 @@ class TimerWheel final : public Clock {
   TimerWheel() : TimerWheel(Config{}) {}
   explicit TimerWheel(Config cfg);
 
-  /// Schedules `cb` for `deadline` (absolute). Deadlines at or before
-  /// the current tick fire on the next advance().
-  TimerId arm(SimTime deadline, std::function<void()> cb);
-
   /// The time of the latest advance() (0 before the first).
   SimTime now() const override { return now_; }
-  void arm_at(SimTime deadline, std::function<void()> cb) override {
-    arm(deadline, std::move(cb));
-  }
-
-  /// O(1). True when the timer was still pending (not fired, not
-  /// already cancelled); stale ids are a safe no-op.
-  bool cancel(TimerId id);
+  /// Schedules `cb` for `deadline` (absolute). Deadlines at or before
+  /// the current tick fire on the next advance().
+  TimerId arm_at(SimTime deadline, std::function<void()> cb) override;
+  /// O(1): the node is unlinked and recycled at once.
+  bool cancel(TimerId id) override;
 
   /// Fires every timer whose deadline tick is <= now. Callbacks may
   /// arm or cancel freely.
@@ -112,8 +102,9 @@ class TimerWheel final : public Clock {
   void unlink(std::int32_t n);
   void place(std::int32_t n);           ///< choose level+slot from delta
   void cascade(int level, int slot);    ///< re-place every node in a slot
-  void fire_slot(int slot);             ///< level-0 slot is due
-  void fire_due();                      ///< drain the immediately-due list
+  /// Fires a due list (a level-0 slot or the immediately-due list)
+  /// until it is empty.
+  void fire(const std::int32_t& head);
   void step_boundaries();               ///< cur_tick_ crossed a multiple of 256
 
   Config cfg_;
@@ -133,50 +124,44 @@ class TimerWheel final : public Clock {
 /// Couples a TimerWheel to another Clock: one pump deadline is kept
 /// armed on it at (a bound on) the earliest pending wheel deadline;
 /// firing it advances the wheel and re-arms. Arming an earlier deadline
-/// pulls the pump earlier. Stale pumps (a later one left behind after
-/// an earlier arm) advance harmlessly and are bounded by the number of
-/// arms.
+/// moves the pump earlier.
 class SimTimerWheel final : public Clock {
  public:
   explicit SimTimerWheel(Clock& clock, TimerWheel::Config cfg = {})
       : clock_(clock), wheel_(cfg) {}
+  ~SimTimerWheel() override { clock_.cancel(pump_); }
 
-  /// Unlike arm_at, returns an id for cancel().
-  TimerWheel::TimerId arm(SimTime deadline, std::function<void()> cb) {
+  SimTime now() const override { return clock_.now(); }
+  TimerId arm_at(SimTime deadline, std::function<void()> cb) override {
     wheel_.advance(clock_.now());
-    const TimerWheel::TimerId id = wheel_.arm(deadline, std::move(cb));
+    const TimerId id = wheel_.arm_at(deadline, std::move(cb));
     // Wake at the deadline rounded up to the wheel's tick — the time
     // the wheel will actually consider it due.
     const SimTime tick = wheel_.tick();
     pump((deadline + tick - 1) / tick * tick);
     return id;
   }
-  bool cancel(TimerWheel::TimerId id) { return wheel_.cancel(id); }
-
-  SimTime now() const override { return clock_.now(); }
-  void arm_at(SimTime deadline, std::function<void()> cb) override {
-    arm(deadline, std::move(cb));
-  }
+  bool cancel(TimerId id) override { return wheel_.cancel(id); }
 
   TimerWheel& wheel() { return wheel_; }
 
  private:
   void pump(SimTime at) {
     if (at < clock_.now()) at = clock_.now();
-    if (wake_at_ <= at) return;  // an earlier-or-equal wake is outstanding
+    if (pump_ != 0 && wake_at_ <= at) return;  // armed early enough
+    clock_.cancel(pump_);
     wake_at_ = at;
-    clock_.arm_at(at, [this] { on_wake(); });
-  }
-  void on_wake() {
-    wake_at_ = kNoWake;
-    wheel_.advance(clock_.now());
-    if (const auto nd = wheel_.next_deadline()) pump(*nd);
+    pump_ = clock_.arm_at(at, [this] {
+      pump_ = 0;
+      wheel_.advance(clock_.now());
+      if (const auto nd = wheel_.next_deadline()) pump(*nd);
+    });
   }
 
   Clock& clock_;
   TimerWheel wheel_;
-  static constexpr SimTime kNoWake = ~SimTime{0};
-  SimTime wake_at_{kNoWake};  ///< earliest pump deadline outstanding
+  TimerId pump_{0};     ///< the armed wake (0 = none)
+  SimTime wake_at_{0};  ///< its time
 };
 
 }  // namespace chunknet

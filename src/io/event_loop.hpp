@@ -4,8 +4,8 @@
 // This is the runtime that moves chunknet off the discrete-event
 // simulator and onto real sockets. The transport stack (sender,
 // receiver, demux) runs unchanged because it is written against the
-// Clock seam (src/common/runtime.hpp), and the loop hands it one Clock,
-// clock(). Its now() is the loop's current time: nanoseconds since the
+// Clock seam (src/common/runtime.hpp), and the loop is that Clock
+// (clock()). Its now() is the loop's current time: nanoseconds since the
 // loop started, read fresh from CLOCK_MONOTONIC through the syscall
 // shim on every call. Its arm_at() arms the loop's TimerWheel, which
 // keeps only deadlines: each poll iteration advances the wheel to the
@@ -59,18 +59,19 @@ struct EventLoopConfig {
   ObsContext* obs{nullptr};
 };
 
-class EventLoop {
+class EventLoop final : public Clock {
  public:
   using FdCallback = std::function<void(std::uint32_t epoll_events)>;
 
   explicit EventLoop(EventLoopConfig cfg = {});
-  ~EventLoop();
-
-  EventLoop(const EventLoop&) = delete;
-  EventLoop& operator=(const EventLoop&) = delete;
+  ~EventLoop() override;
 
   /// Nanoseconds since construction, read fresh from CLOCK_MONOTONIC.
-  SimTime now() const;
+  SimTime now() const override;
+  TimerId arm_at(SimTime deadline, std::function<void()> cb) override {
+    return timers_.arm_at(deadline, std::move(cb));
+  }
+  bool cancel(TimerId id) override { return timers_.cancel(id); }
 
   /// Registers `fd` for `events` (EPOLLIN/EPOLLOUT/...). One callback
   /// per fd; re-adding an existing fd replaces events and callback.
@@ -78,10 +79,9 @@ class EventLoop {
   bool mod_fd(int fd, std::uint32_t events);
   void del_fd(int fd);
 
-  /// The transport-facing clock: now() is now() above, and arm_at()
-  /// arms a deadline on timers(). Every io session and the transport
-  /// it drives read time and arm deadlines here.
-  Clock& clock() { return clock_; }
+  /// This loop as the Clock every io session and the transport it
+  /// drives read time and arm deadlines on.
+  Clock& clock() { return *this; }
   /// The deadline store behind clock(). Its own now() is the time of
   /// the latest pump, which lags the loop between polls: read time
   /// from clock() instead.
@@ -123,18 +123,6 @@ class EventLoop {
   const Stats& stats() const { return stats_; }
 
  private:
-  class LoopClock final : public Clock {
-   public:
-    explicit LoopClock(EventLoop& loop) : loop_(loop) {}
-    SimTime now() const override { return loop_.now(); }
-    void arm_at(SimTime deadline, std::function<void()> cb) override {
-      loop_.timers_.arm(deadline, std::move(cb));
-    }
-
-   private:
-    EventLoop& loop_;
-  };
-
   struct Deferred {
     const void* owner;  ///< null once cancelled
     std::function<void()> fn;
@@ -148,7 +136,6 @@ class EventLoop {
   SyscallShim* sys_;
   EventLoopConfig cfg_;
   TimerWheel timers_;
-  LoopClock clock_{*this};
   std::uint64_t epoch_ns_{0};
   int epfd_{-1};
   bool stopped_{false};

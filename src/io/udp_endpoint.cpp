@@ -113,7 +113,7 @@ UdpEndpoint::UdpEndpoint(EventLoop& loop, UdpEndpointConfig cfg)
 
 UdpEndpoint::~UdpEndpoint() {
   loop_.cancel_deferred(this);
-  if (flush_timer_armed_) loop_.timers().cancel(flush_timer_);
+  loop_.clock().cancel(flush_timer_);
   if (fd_ >= 0) {
     loop_.del_fd(fd_);
     sys_.sys_close(fd_);
@@ -326,10 +326,9 @@ void UdpEndpoint::handle_conn_refused() {
 }
 
 void UdpEndpoint::arm_flush_in(SimTime delay) {
-  if (flush_timer_armed_) return;
-  flush_timer_armed_ = true;
-  flush_timer_ = loop_.timers().arm(loop_.now() + delay, [this] {
-    flush_timer_armed_ = false;
+  if (flush_timer_ != 0) return;
+  flush_timer_ = loop_.clock().arm_in(delay, [this] {
+    flush_timer_ = 0;
     flush();
   });
 }

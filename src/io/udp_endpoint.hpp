@@ -203,8 +203,7 @@ class UdpEndpoint {
   std::uint64_t txq_bytes_{0};
   bool epollout_armed_{false};
   bool backpressure_{false};
-  bool flush_timer_armed_{false};
-  TimerWheel::TimerId flush_timer_{0};  ///< valid while flush_timer_armed_
+  TimerId flush_timer_{0};  ///< 0 when no retry flush is armed
   bool flush_deferred_{false};
   SimTime reconnect_backoff_{0};
   bool closed_{false};

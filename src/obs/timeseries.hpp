@@ -7,10 +7,10 @@
 // Handles resolve lazily: a tracked metric that does not exist yet
 // (components create their instruments at construction) samples as 0
 // until its first find_* hit, then sticks to the resolved handle.
-// attach_sampler() wires periodic self-terminating ticks into a
-// Simulator: each tick samples, then re-arms only while OTHER events
-// remain pending, so the sampler never keeps an otherwise-drained
-// event queue alive (which would trip quiescence watchdogs).
+// run_sampled() runs a Simulator in slices and samples between them,
+// so sampling arms no events: it never keeps a drained event queue
+// alive (which would trip quiescence watchdogs) or moves the time of
+// the run's last event.
 #pragma once
 
 #include <cstdint>
@@ -84,23 +84,16 @@ class TimeSeriesSampler {
   std::uint64_t taken_{0};
 };
 
-/// Schedules periodic sampling ticks on `sim`, starting one interval
-/// from now. Each tick samples, then re-arms only if the queue still
-/// holds other events (the tick itself is already popped while it
-/// runs), so the ticks terminate with the workload instead of spinning
-/// an idle simulation forever. The sampler must outlive the run; ticks
-/// hold only pointers and re-arm copies of themselves, so none leaks.
+/// Runs `sim` until nothing is pending or `deadline` passes, sampling
+/// at each multiple of the sampler's interval that the run reaches.
 template <typename Sim>
-void attach_sampler(Sim& sim, TimeSeriesSampler& sampler) {
-  struct Tick {
-    Sim* sim;
-    TimeSeriesSampler* sampler;
-    void operator()() const {
-      sampler->sample(sim->now());
-      if (sim->pending()) sim->arm_in(sampler->interval(), *this);
-    }
-  };
-  sim.arm_in(sampler.interval(), Tick{&sim, &sampler});
+void run_sampled(Sim& sim, TimeSeriesSampler& sampler, SimTime deadline) {
+  const SimTime dt = sampler.interval();
+  for (SimTime t = dt; t < deadline && sim.pending(); t += dt) {
+    sim.run(t);
+    sampler.sample(t);
+  }
+  sim.run(deadline);
 }
 
 }  // namespace chunknet

@@ -41,8 +41,8 @@ ChunkDemultiplexer::~ChunkDemultiplexer() {
   }
   if (cfg_.timers != nullptr) {
     for (Shard& sh : shards_) {
-      if (sh.idle_timer != 0) cfg_.timers->cancel(sh.idle_timer);
-      if (sh.refused_timer != 0) cfg_.timers->cancel(sh.refused_timer);
+      cfg_.timers->cancel(sh.idle_timer);
+      cfg_.timers->cancel(sh.refused_timer);
     }
   }
 }
@@ -174,8 +174,8 @@ void ChunkDemultiplexer::arm_idle_timer(Shard& sh) {
   const std::uint32_t front_id = sh.idle_lru.value(sh.idle_lru.front());
   const FlowEntry* f = sh.flows.find(front_id);
   if (f == nullptr) return;  // unreachable: LRU mirrors the flow table
-  sh.idle_timer = cfg_.timers->arm(f->last_activity + cfg_.idle_timeout,
-                                   [this, &sh] { fire_idle(sh); });
+  sh.idle_timer = cfg_.timers->arm_at(f->last_activity + cfg_.idle_timeout,
+                                      [this, &sh] { fire_idle(sh); });
 }
 
 void ChunkDemultiplexer::fire_idle(Shard& sh) {
@@ -206,7 +206,7 @@ void ChunkDemultiplexer::arm_refused_timer(Shard& sh) {
   const RefusedEntry* re = sh.refused.find(front_id);
   if (re == nullptr) return;
   sh.refused_timer =
-      cfg_.timers->arm(re->expires, [this, &sh] { fire_refused(sh); });
+      cfg_.timers->arm_at(re->expires, [this, &sh] { fire_refused(sh); });
 }
 
 void ChunkDemultiplexer::fire_refused(Shard& sh) {

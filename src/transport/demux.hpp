@@ -30,7 +30,6 @@
 #include "src/common/pick_queue.hpp"
 #include "src/common/resource_governor.hpp"
 #include "src/common/runtime.hpp"
-#include "src/common/timer_wheel.hpp"
 #include "src/transport/receiver.hpp"
 #include "src/transport/signalling.hpp"
 
@@ -72,18 +71,19 @@ struct DemuxConfig {
   std::uint32_t shards{1};
   /// Hard cap on remembered refusals PER SHARD; beyond it the oldest
   /// refusal is forgotten (FIFO) so the table is bounded even without
-  /// a timer wheel.
+  /// a clock to age them out.
   std::uint32_t max_refused{4096};
   /// Refusals are forgotten after this long (the retry-hint deadline):
   /// a sender that retries later gets a fresh admission decision.
-  /// Needs `timers`.
+  /// Aged out on `timers`; without one only the cap applies.
   SimTime refused_ttl{5 * kSecond};
-  /// When > 0 (and `timers` is set), a connection with no routed
-  /// chunks for this long is evicted from its shard in LRU order.
+  /// When > 0, a connection with no routed chunks for this long is
+  /// evicted from its shard in LRU order, on `timers` (no clock, no
+  /// idle eviction).
   SimTime idle_timeout{0};
-  /// Drives refused-TTL and idle-eviction deadlines. The wheel is
-  /// shared — one per endpoint, not per demux.
-  SimTimerWheel* timers{nullptr};
+  /// Drives time and the refused-TTL and idle-eviction deadlines: any
+  /// Clock, e.g. a Simulator or one endpoint's shared SimTimerWheel.
+  Clock* timers{nullptr};
   /// Told about each idle eviction (the receiver is NOT destroyed —
   /// ownership stays with the caller, mirroring attach()).
   std::function<void(std::uint32_t, ChunkTransportReceiver*)> on_idle_evict;
@@ -94,9 +94,6 @@ class ChunkDemultiplexer final : public PacketSink {
   ChunkDemultiplexer() : ChunkDemultiplexer(DemuxConfig{}) {}
   explicit ChunkDemultiplexer(DemuxConfig cfg);
   ~ChunkDemultiplexer() override;
-
-  ChunkDemultiplexer(const ChunkDemultiplexer&) = delete;
-  ChunkDemultiplexer& operator=(const ChunkDemultiplexer&) = delete;
 
   /// Routes data/ED chunks with the given C.ID to `receiver`.
   void attach(std::uint32_t connection_id, ChunkTransportReceiver& receiver);
@@ -175,8 +172,8 @@ class ChunkDemultiplexer final : public PacketSink {
     FlatMap<std::uint32_t, RefusedEntry> refused;
     PickQueue idle_lru;      ///< front = least recently active
     PickQueue refused_fifo;  ///< front = oldest refusal (= earliest TTL)
-    TimerWheel::TimerId idle_timer{0};
-    TimerWheel::TimerId refused_timer{0};
+    TimerId idle_timer{0};
+    TimerId refused_timer{0};
     std::uint32_t lease_slots{0};   ///< admissions left in current lease
     std::uint64_t lease_bytes{0};   ///< reserve currently held via lease
     Stats stats;

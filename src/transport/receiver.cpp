@@ -73,6 +73,7 @@ ChunkTransportReceiver::ChunkTransportReceiver(Clock& clock,
 }
 
 ChunkTransportReceiver::~ChunkTransportReceiver() {
+  for (const auto& e : tpdus_) clock_.cancel(e.value.nak_timer);
   if (cfg_.governor != nullptr) {
     cfg_.governor->unbind_client(cfg_.connection_id);
   }
@@ -603,6 +604,7 @@ void ChunkTransportReceiver::try_finish(std::uint32_t tpdu_id, TpduState& st) {
   }
 
   st.finished = true;
+  clock_.cancel(st.nak_timer);
   // Queue upkeep: finished TPDUs hold nothing, and only ACCEPTED ones
   // keep a tombstone (in finish order); rejected state is erased below,
   // so its creation-order node is simply unlinked.
@@ -666,21 +668,19 @@ void ChunkTransportReceiver::try_finish(std::uint32_t tpdu_id, TpduState& st) {
 
 void ChunkTransportReceiver::arm_gap_nak_timer(std::uint32_t tpdu_id,
                                                TpduState& st) {
-  if (cfg_.gap_nak_delay == 0 || !cfg_.send_control || st.nak_timer_armed ||
+  if (cfg_.gap_nak_delay == 0 || !cfg_.send_control || st.nak_timer != 0 ||
       st.finished || st.gap_naks_sent >= cfg_.max_gap_naks) {
     return;
   }
-  st.nak_timer_armed = true;
-  clock_.arm_in(cfg_.gap_nak_delay,
-                [this, tpdu_id] { fire_gap_nak(tpdu_id); });
+  st.nak_timer = clock_.arm_in(cfg_.gap_nak_delay,
+                               [this, tpdu_id] { fire_gap_nak(tpdu_id); });
 }
 
 void ChunkTransportReceiver::fire_gap_nak(std::uint32_t tpdu_id) {
-  TpduState* stp = tpdus_.find(tpdu_id);
-  if (stp == nullptr) return;  // rejected & erased meanwhile
-  TpduState& st = *stp;
-  st.nak_timer_armed = false;
-  if (st.finished) return;
+  // Finishing or erasing the TPDU cancels this deadline, so its entry
+  // is here and unfinished. (The table may have moved it: look it up.)
+  TpduState& st = *tpdus_.find(tpdu_id);
+  st.nak_timer = 0;
 
   // Ask for exactly what virtual reassembly says is missing.
   GapNak nak;
@@ -727,19 +727,7 @@ std::optional<std::uint32_t> ChunkTransportReceiver::evict_oldest_holder() {
   if (holders_.empty()) return std::nullopt;
   ++stats_.evict_scan_steps;
   const std::uint32_t id = holders_.value(holders_.front());
-  TpduState& st = *tpdus_.find(id);
-  for (const HeldChunk& hc : st.held) {
-    drop_unplaced(hc.chunk.payload.size(), /*was_held=*/true);
-    ++stats_.held_chunks_evicted;
-    stats_.held_bytes_evicted += hc.chunk.payload.size();
-    obs_add(m_.held_chunks_evicted);
-    obs_add(m_.held_bytes_evicted, hc.chunk.payload.size());
-    trace_chunk(TraceEventKind::kChunkEvicted, hc.chunk.h, hc.packet_id, 0);
-  }
-  ++stats_.tpdus_evicted;
-  obs_add(m_.tpdus_evicted);
-  span(SpanEventKind::kTpduEvicted, id, 0);
-  erase_tpdu_entry(id, st);
+  evict_tpdu(id);
   return id;
 }
 
@@ -775,7 +763,11 @@ void ChunkTransportReceiver::evict_for_open_cap() {
     if (chosen == PickQueue::kNil) return;
     victim_id = active_.value(chosen);
   }
-  TpduState& st = *tpdus_.find(victim_id);
+  evict_tpdu(victim_id);
+}
+
+void ChunkTransportReceiver::evict_tpdu(std::uint32_t tpdu_id) {
+  TpduState& st = *tpdus_.find(tpdu_id);
   for (const HeldChunk& hc : st.held) {
     drop_unplaced(hc.chunk.payload.size(), /*was_held=*/true);
     ++stats_.held_chunks_evicted;
@@ -786,12 +778,13 @@ void ChunkTransportReceiver::evict_for_open_cap() {
   }
   ++stats_.tpdus_evicted;
   obs_add(m_.tpdus_evicted);
-  span(SpanEventKind::kTpduEvicted, victim_id, 0);
-  erase_tpdu_entry(victim_id, st);
+  span(SpanEventKind::kTpduEvicted, tpdu_id, 0);
+  erase_tpdu_entry(tpdu_id, st);
 }
 
 void ChunkTransportReceiver::erase_tpdu_entry(std::uint32_t tpdu_id,
                                               TpduState& st) {
+  clock_.cancel(st.nak_timer);
   if (st.holder_node != PickQueue::kNil) holders_.remove(st.holder_node);
   if (st.order_node != PickQueue::kNil) {
     (st.finished ? tombstones_ : active_).remove(st.order_node);

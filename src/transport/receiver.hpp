@@ -262,7 +262,7 @@ class ChunkTransportReceiver final : public PacketSink {
     SimTime first_chunk_at{0};
     std::uint64_t elements{0};
     int gap_naks_sent{0};
-    bool nak_timer_armed{false};
+    TimerId nak_timer{0};  ///< pending gap-NAK deadline (0 = none)
     std::vector<HeldChunk> held;  ///< kReassemble mode only
     /// Intrusive handles into the eviction queues (PickQueue::kNil when
     /// not enqueued): creation-order node (active_ while unfinished,
@@ -293,8 +293,10 @@ class ChunkTransportReceiver final : public PacketSink {
   /// max_open_tpdus pressure: drops one context entry (finished
   /// tombstones first, oldest first; else the oldest unfinished TPDU).
   void evict_for_open_cap();
-  /// Unlinks the TPDU's eviction-queue nodes and erases its table
-  /// entry. Any TpduState pointers are invalid afterwards.
+  /// Drops one TPDU's held chunks and context, counted as an eviction.
+  void evict_tpdu(std::uint32_t tpdu_id);
+  /// Cancels the TPDU's gap-NAK, unlinks its eviction-queue nodes and
+  /// erases its entry. Any TpduState pointers are invalid afterwards.
   void erase_tpdu_entry(std::uint32_t tpdu_id, TpduState& st);
   /// Drops stale (already-erased) offsets from the top of the reorder
   /// min-heap so front() is the smallest live queued offset.

@@ -7,6 +7,7 @@ namespace chunknet {
 
 RtoEstimator::RtoEstimator(RtoConfig cfg, SimTime initial_rto)
     : cfg_(cfg),
+      fixed_rto_(initial_rto),
       base_rto_(std::clamp(initial_rto, cfg.min_rto, cfg.max_rto)) {}
 
 void RtoEstimator::on_sample(SimTime rtt, bool retransmitted) {

@@ -28,7 +28,7 @@ namespace chunknet {
 
 struct RtoConfig {
   /// Off by default so existing fixed-timeout experiments reproduce
-  /// bit-for-bit; senders consult rto() only when this is set.
+  /// bit-for-bit; timeout() consults rto() only when this is set.
   bool adaptive{false};
   SimTime min_rto{1 * kMillisecond};
   SimTime max_rto{4 * kSecond};  ///< also the backoff cap
@@ -54,6 +54,8 @@ class RtoEstimator {
 
   /// The timeout to arm now (smoothed estimate × backoff, clamped).
   SimTime rto() const;
+  /// What a sender arms: rto() when adaptive, else the fixed timeout.
+  SimTime timeout() const { return cfg_.adaptive ? rto() : fixed_rto_; }
 
   bool has_estimate() const { return have_srtt_; }
   SimTime srtt() const { return static_cast<SimTime>(srtt_); }
@@ -68,6 +70,7 @@ class RtoEstimator {
 
  private:
   RtoConfig cfg_;
+  SimTime fixed_rto_;     ///< `initial_rto` as given
   SimTime base_rto_;      ///< current estimate before backoff
   std::uint32_t backoff_shift_{0};
   bool have_srtt_{false};

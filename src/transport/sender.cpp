@@ -156,11 +156,10 @@ void ChunkTransportSender::pump_queue() {
 }
 
 void ChunkTransportSender::arm_probe() {
-  if (probe_armed_) return;
-  probe_armed_ = true;
+  if (probe_timer_ != 0) return;
   const std::uint64_t epoch = admit_epoch_;
-  clock_.arm_in(cfg_.flow.probe_timeout, [this, epoch] {
-    probe_armed_ = false;
+  probe_timer_ = clock_.arm_in(cfg_.flow.probe_timeout, [this, epoch] {
+    probe_timer_ = 0;
     if (send_queue_.empty()) return;
     if (admit_epoch_ != epoch) {
       // Progress happened since arming; still blocked, so keep watch.
@@ -182,9 +181,10 @@ void ChunkTransportSender::arm_probe() {
   });
 }
 
-void ChunkTransportSender::on_tpdu_retired(const PendingTpdu& p) {
-  if (!cfg_.flow.enabled || !p.admitted) return;
-  if (inflight_ > 0) --inflight_;
+void ChunkTransportSender::retire(Outstanding::iterator it) {
+  clock_.cancel(it->second.rto);
+  if (cfg_.flow.enabled && it->second.admitted && inflight_ > 0) --inflight_;
+  outstanding_.erase(it);
 }
 
 void ChunkTransportSender::handle_credit_grant(const ChunkView& signal) {
@@ -264,18 +264,16 @@ void ChunkTransportSender::give_up(Outstanding::iterator it) {
   obs_add(m_.gave_up);
   span(SpanEventKind::kTpduGaveUp, it->first);
   gave_up_ids_.push_back(it->first);
-  on_tpdu_retired(it->second);
-  outstanding_.erase(it);
+  retire(it);
 }
 
 void ChunkTransportSender::arm_timer(std::uint32_t tpdu_id) {
-  const SimTime armed_at = clock_.now();
-  const SimTime timeout =
-      cfg_.rto.adaptive ? rto_.rto() : cfg_.retransmit_timeout;
-  clock_.arm_in(timeout, [this, tpdu_id, armed_at] {
-    auto it = outstanding_.find(tpdu_id);
-    if (it == outstanding_.end()) return;          // acked meanwhile
-    if (it->second.last_sent > armed_at) return;   // newer timer pending
+  // Looked up afresh: a synchronous wire may have acked it by now.
+  const auto it = outstanding_.find(tpdu_id);
+  if (it == outstanding_.end()) return;
+  clock_.cancel(it->second.rto);
+  // retire() cancels this deadline, so `it` is valid whenever it fires.
+  it->second.rto = clock_.arm_in(rto_.timeout(), [this, it] {
     if (it->second.attempts > cfg_.max_retransmits) {
       give_up(it);
       if (cfg_.flow.enabled) pump_queue();
@@ -286,7 +284,7 @@ void ChunkTransportSender::arm_timer(std::uint32_t tpdu_id) {
     obs_add(m_.rto_backoffs);
     ++stats_.retransmissions;
     obs_add(m_.retransmissions);
-    transmit_tpdu(tpdu_id, it->second);
+    transmit_tpdu(it->first, it->second);
   });
 }
 
@@ -366,7 +364,7 @@ void ChunkTransportSender::handle_gap_nak(const ChunkView& signal) {
   if (it == outstanding_.end()) return;  // already acked or abandoned
   // An honoured gap NAK consumes a retransmit attempt. Without this the
   // retry budget never trips on the selective path (each honoured NAK
-  // also quiets the whole-TPDU backstop below), and a receiver that
+  // also re-arms the whole-TPDU backstop below), and a receiver that
   // keeps shedding held state under memory pressure re-arms its NAK
   // budget with every recreated TPDU context — an unbounded
   // NAK → slice → evict livelock. Over budget, give up truthfully
@@ -413,8 +411,7 @@ void ChunkTransportSender::handle_gap_nak(const ChunkView& signal) {
     }
   }
   if (resend.empty()) return;
-  it->second.last_sent = clock_.now();  // quiet the whole-TPDU backstop
-  it->second.retransmitted = true;    // Karn: later ACK is ambiguous
+  it->second.retransmitted = true;  // Karn: later ACK is ambiguous
   send_chunk_views(resend);
   arm_timer(nak->tpdu_id);
 }
@@ -461,8 +458,7 @@ void ChunkTransportSender::handle_feedback(std::span<const ChunkView> views) {
       ++stats_.tpdus_acked;
       obs_add(m_.tpdus_acked);
       span(SpanEventKind::kTpduAcked, ack.tpdu_id);
-      on_tpdu_retired(it->second);
-      outstanding_.erase(it);
+      retire(it);
       if (cfg_.flow.enabled) pump_queue();
     } else {
       // NAK: retransmit immediately with the same identifiers.

@@ -93,6 +93,11 @@ struct SenderConfig {
 class ChunkTransportSender final : public PacketSink {
  public:
   ChunkTransportSender(Clock& clock, SenderConfig cfg);
+  /// Cancels every deadline still armed (RTOs, zero-credit probe).
+  ~ChunkTransportSender() override {
+    for (const auto& [id, p] : outstanding_) clock_.cancel(p.rto);
+    clock_.cancel(probe_timer_);
+  }
 
   /// Frames and transmits the whole stream (length must be a multiple
   /// of the framer element size). May be called once per connection.
@@ -175,7 +180,8 @@ class ChunkTransportSender final : public PacketSink {
   struct PendingTpdu {
     std::vector<Chunk> chunks;  ///< data chunks + ED chunk, original IDs
     int attempts{0};
-    SimTime last_sent{0};
+    SimTime last_sent{0};  ///< RTT sample base
+    TimerId rto{0};        ///< the live retransmission deadline
     /// Any part of this TPDU was ever resent (timer or GapNak slice):
     /// an ACK can no longer be matched to one transmission, so Karn's
     /// rule discards its RTT sample.
@@ -190,6 +196,7 @@ class ChunkTransportSender final : public PacketSink {
   void transmit_tpdu(std::uint32_t tpdu_id, PendingTpdu& p);
   /// Abandons one outstanding TPDU, accounted as a give-up everywhere.
   void give_up(Outstanding::iterator it);
+  /// Replaces the TPDU's RTO with a fresh one (no-op once retired).
   void arm_timer(std::uint32_t tpdu_id);
   /// Acts on the chunks of one decoded feedback envelope.
   void handle_feedback(std::span<const ChunkView> views);
@@ -200,8 +207,8 @@ class ChunkTransportSender final : public PacketSink {
   void pump_queue();
   void admit_tpdu(std::uint32_t tpdu_id, PendingTpdu& p);
   void arm_probe();
-  /// An admitted TPDU left outstanding_ (acked or abandoned).
-  void on_tpdu_retired(const PendingTpdu& p);
+  /// Drops an acked or abandoned TPDU, its RTO and its flow slot.
+  void retire(Outstanding::iterator it);
   void publish_flow_gauges();
   /// The one transmit path: packs views over chunks owned by the
   /// pending store and hands each packet's views to send_one.
@@ -259,7 +266,7 @@ class ChunkTransportSender final : public PacketSink {
   bool any_grant_{false};
   bool blocked_{false};
   std::uint64_t admit_epoch_{0};  ///< bumps on every admission
-  bool probe_armed_{false};
+  TimerId probe_timer_{0};        ///< 0 when no probe is armed
 };
 
 }  // namespace chunknet

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "src/chaos/harness.hpp"
@@ -310,18 +311,21 @@ TEST(ChaosOracles, CatchUnsafeHeaderCorruptionWithImmediateDelivery) {
   EXPECT_TRUE(rs.ok) << (rs.failures.empty() ? "" : rs.failures.front());
 }
 
+std::optional<ChaosScenario> load_repro(const std::string& name) {
+  std::ifstream in(std::string(CHUNKNET_SOURCE_DIR) + "/tests/chaos_repros/" +
+                   name);
+  if (!in) return std::nullopt;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return parse_scenario_text(text.str());
+}
+
 TEST(ChaosOracles, CheckedInUnsafeReproTripsTruthfulDelivery) {
   // tests/chaos_repros/unsafe_immediate_header_corruption.txt is the
   // text form of the fixture above; it must keep failing oracle 1 and
   // keep passing under reassemble-first delivery.
-  const std::string path = std::string(CHUNKNET_SOURCE_DIR) +
-      "/tests/chaos_repros/unsafe_immediate_header_corruption.txt";
-  std::ifstream in(path);
-  ASSERT_TRUE(in) << "cannot open " << path;
-  std::ostringstream text;
-  text << in.rdbuf();
-  const auto sc = parse_scenario_text(text.str());
-  ASSERT_TRUE(sc.has_value()) << path;
+  const auto sc = load_repro("unsafe_immediate_header_corruption.txt");
+  ASSERT_TRUE(sc.has_value());
   const ChaosResult r = run_chaos(*sc);
   ASSERT_FALSE(r.ok);
   EXPECT_EQ(r.failures.front().rfind("oracle-1", 0), 0u) << r.failures.front();
@@ -330,6 +334,20 @@ TEST(ChaosOracles, CheckedInUnsafeReproTripsTruthfulDelivery) {
   safe.mode = DeliveryMode::kReassemble;
   const ChaosResult rs = run_chaos(safe);
   EXPECT_TRUE(rs.ok) << (rs.failures.empty() ? "" : rs.failures.front());
+}
+
+TEST(ChaosOracles, CheckedInSeed251ReproStillFailsOracle5) {
+  // tests/chaos_repros/seed_251.txt: reassemble-first delivery with
+  // selective retransmission, no corruption. Two transmissions of one
+  // chunk are packed into pieces cut at different elements; when they
+  // partially overlap at the receiver it counts a framing error and
+  // rejects the TPDU: honest re-fragmentation read as corruption. This
+  // records the open fault; the overlap fix must flip it to a pass.
+  const auto sc = load_repro("seed_251.txt");
+  ASSERT_TRUE(sc.has_value());
+  const ChaosResult r = run_chaos(*sc);
+  ASSERT_FALSE(r.ok);
+  EXPECT_EQ(r.failures.front().rfind("oracle-5", 0), 0u) << r.failures.front();
 }
 
 TEST(ChaosOracles, MinimizerShrinksWhilePreservingTheFailure) {

@@ -1,7 +1,8 @@
 // The clock-and-timer seam: the transport runs on any Clock. Here a
 // sender/receiver pair runs on a hand-driven fake with no Simulator and
 // no network model behind it; the test decides when each deadline
-// fires and what the wire loses.
+// fires and what the wire loses. The Simulator's cancel() is checked
+// for exact heap timing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,8 +24,12 @@ namespace {
 class FakeClock final : public Clock {
  public:
   SimTime now() const override { return now_; }
-  void arm_at(SimTime deadline, std::function<void()> cb) override {
-    armed_.emplace_back(deadline, std::move(cb));
+  TimerId arm_at(SimTime deadline, std::function<void()> cb) override {
+    armed_.push_back({++last_id_, deadline, std::move(cb)});
+    return last_id_;
+  }
+  bool cancel(TimerId id) override {
+    return std::erase_if(armed_, [id](const Armed& a) { return a.id == id; });
   }
 
   std::size_t armed() const { return armed_.size(); }
@@ -35,17 +40,23 @@ class FakeClock final : public Clock {
     if (armed_.empty()) return false;
     auto it = std::min_element(
         armed_.begin(), armed_.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    auto [deadline, cb] = std::move(*it);
+        [](const auto& a, const auto& b) { return a.deadline < b.deadline; });
+    Armed fired = std::move(*it);
     armed_.erase(it);
-    now_ = std::max(now_, deadline);
-    cb();
+    now_ = std::max(now_, fired.deadline);
+    fired.cb();
     return true;
   }
 
  private:
+  struct Armed {
+    TimerId id;
+    SimTime deadline;
+    std::function<void()> cb;
+  };
   SimTime now_{0};
-  std::vector<std::pair<SimTime, std::function<void()>>> armed_;
+  TimerId last_id_{0};
+  std::vector<Armed> armed_;
 };
 
 TEST(ClockSeam, FakeClockDrivesRtoRecoveryWithoutSimulator) {
@@ -101,7 +112,8 @@ TEST(ClockSeam, FakeClockDrivesRtoRecoveryWithoutSimulator) {
   // The second TPDU got through; the first lacks its lost packet.
   EXPECT_EQ(sender.stats().tpdus_acked, 1u);
   EXPECT_FALSE(receiver.stream_complete(kBytes / 4));
-  ASSERT_GE(clock.armed(), 1u);  // one RTO per TPDU, on the fake
+  // The second TPDU's ACK cancelled its RTO: only the first's is left.
+  ASSERT_EQ(clock.armed(), 1u);
 
   // Fire the RTO: the sender resends the first TPDU at 30 ms.
   ASSERT_TRUE(clock.fire_next());
@@ -113,11 +125,41 @@ TEST(ClockSeam, FakeClockDrivesRtoRecoveryWithoutSimulator) {
   EXPECT_TRUE(receiver.stream_complete(kBytes / 4));
   EXPECT_TRUE(std::equal(stream.begin(), stream.end(),
                          receiver.app_data().begin()));
-  // Every deadline left behind is a stale RTO that fires as a no-op.
-  while (clock.fire_next()) {
-  }
-  EXPECT_EQ(sender.stats().retransmissions, 1u);
-  EXPECT_TRUE(sender.all_acked());
+  // Each ACK cancelled its TPDU's RTO, so no deadline is left behind.
+  EXPECT_EQ(clock.armed(), 0u);
+}
+
+TEST(ClockSeam, SimulatorCancelLeavesNoTraceInTimeOrPending) {
+  Simulator sim;
+  std::vector<int> ran;
+  const TimerId late = sim.arm_at(50 * kMillisecond, [&] { ran.push_back(50); });
+  EXPECT_NE(late, 0u);
+  EXPECT_TRUE(sim.cancel(late));
+  EXPECT_FALSE(sim.pending());  // a tombstone is not a pending event
+  EXPECT_FALSE(sim.cancel(late));
+  EXPECT_FALSE(sim.cancel(0));
+
+  // Same timestamp: the first event cancels the second, which never runs.
+  TimerId second = 0;
+  sim.arm_at(10 * kMillisecond, [&] {
+    ran.push_back(1);
+    EXPECT_TRUE(sim.cancel(second));
+  });
+  second = sim.arm_at(10 * kMillisecond, [&] { ran.push_back(2); });
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(ran, std::vector<int>{1});
+  EXPECT_EQ(sim.now(), 10 * kMillisecond);  // tombstones do not move time
+  EXPECT_FALSE(sim.pending());
+
+  // Fired and cancelled ids stay dead after their slots are reused.
+  bool fired = false;
+  const TimerId next = sim.arm_in(kMillisecond, [&] { fired = true; });
+  EXPECT_FALSE(sim.cancel(second));
+  EXPECT_FALSE(sim.cancel(late));
+  EXPECT_NE(next, late);
+  sim.run();
+  EXPECT_TRUE(fired);
+  EXPECT_FALSE(sim.cancel(next));
 }
 
 }  // namespace

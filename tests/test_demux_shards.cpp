@@ -9,6 +9,7 @@
 
 #include "src/chunk/builder.hpp"
 #include "src/chunk/codec.hpp"
+#include "src/common/timer_wheel.hpp"
 #include "src/transport/demux.hpp"
 #include "src/transport/signalling.hpp"
 
@@ -189,19 +190,20 @@ TEST(DemuxShards, RefusedTableStaysBoundedUnderOpenRefuseChurn) {
   EXPECT_LT(demux.state_bytes(), 256u * 1024u);
 }
 
-TEST(DemuxShards, RefusalExpiresOnTheWheelAndRetryIsReevaluated) {
+/// Refused-TTL ageing with `timers` (a wheel on `sim`, or `sim` itself)
+/// as the demux's clock.
+void expect_refusal_expires_and_retry_is_reevaluated(Simulator& sim,
+                                                     Clock& timers) {
   GovernorConfig gc;
   gc.soft_watermark_bytes = 48 * 1024;
   gc.hard_watermark_bytes = 64 * 1024;
   ResourceGovernor gov(gc);
 
-  Simulator sim;
-  SimTimerWheel wheel(sim, {kMillisecond});
   std::vector<std::unique_ptr<ChunkTransportReceiver>> receivers;
   std::vector<ConnectionRefused> refusals;
   DemuxConfig dc;
   dc.refused_ttl = 50 * kMillisecond;
-  dc.timers = &wheel;
+  dc.timers = &timers;
   auto demux = std::make_unique<ChunkDemultiplexer>(dc);
   DemuxAdmissionConfig adm;
   adm.governor = &gov;
@@ -226,7 +228,7 @@ TEST(DemuxShards, RefusalExpiresOnTheWheelAndRetryIsReevaluated) {
   demux->on_packet(open_packet(6));
   EXPECT_EQ(refusals.size(), 1u);
 
-  // Free the headroom, run past the retry-hint deadline: the wheel
+  // Free the headroom, run past the retry-hint deadline: the deadline
   // sweeps the refusal out, and the retry gets a FRESH decision.
   gov.unbind_client(5);
   demux->detach(5);
@@ -238,14 +240,25 @@ TEST(DemuxShards, RefusalExpiresOnTheWheelAndRetryIsReevaluated) {
   EXPECT_EQ(demux->stats().connections_admitted, 2u);
 }
 
-TEST(DemuxShards, IdleConnectionsEvictLruFirstActiveSurvive) {
+TEST(DemuxShards, RefusalExpiresOnTheWheelAndRetryIsReevaluated) {
   Simulator sim;
   SimTimerWheel wheel(sim, {kMillisecond});
+  expect_refusal_expires_and_retry_is_reevaluated(sim, wheel);
+}
+
+TEST(DemuxShards, RefusalExpiresOnAPlainSimulatorClock) {
+  Simulator sim;
+  expect_refusal_expires_and_retry_is_reevaluated(sim, sim);
+}
+
+/// Idle LRU eviction with `timers` (a wheel on `sim`, or `sim` itself)
+/// as the demux's clock.
+void expect_idle_flows_evict_lru_first(Simulator& sim, Clock& timers) {
   std::vector<std::uint32_t> evicted;
   DemuxConfig dc;
   dc.shards = 2;
   dc.idle_timeout = 100 * kMillisecond;
-  dc.timers = &wheel;
+  dc.timers = &timers;
   dc.on_idle_evict = [&](std::uint32_t id, ChunkTransportReceiver*) {
     evicted.push_back(id);
   };
@@ -284,6 +297,17 @@ TEST(DemuxShards, IdleConnectionsEvictLruFirstActiveSurvive) {
   sim.run(kSecond);
   EXPECT_EQ(demux.flows(), 0u);
   EXPECT_EQ(demux.stats().idle_evicted, 8u);
+}
+
+TEST(DemuxShards, IdleConnectionsEvictLruFirstActiveSurvive) {
+  Simulator sim;
+  SimTimerWheel wheel(sim, {kMillisecond});
+  expect_idle_flows_evict_lru_first(sim, wheel);
+}
+
+TEST(DemuxShards, IdleConnectionsEvictOnAPlainSimulatorClock) {
+  Simulator sim;
+  expect_idle_flows_evict_lru_first(sim, sim);
 }
 
 TEST(DemuxShards, LeaseBatchedAdmissionAmortizesGovernorTraffic) {

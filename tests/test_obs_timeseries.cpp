@@ -1,7 +1,6 @@
 // Tests for the time-series sampler: column registration, lazy handle
 // resolution, ring bounding, quantile extraction, JSON round-trip, and
-// attach_sampler's self-terminating tick discipline on a real
-// Simulator.
+// run_sampled's sampling between run slices on a real Simulator.
 #include "src/obs/timeseries.hpp"
 
 #include <gtest/gtest.h>
@@ -124,8 +123,7 @@ TEST(TimeSeries, AttachedSamplerTerminatesWithWorkload) {
   for (int i = 1; i <= 5; ++i) {
     sim.arm_in(i * kMillisecond, [&c] { c.add(1); });
   }
-  attach_sampler(sim, ts);
-  sim.run();
+  run_sampled(sim, ts, ~SimTime{0});
 
   // The sampler must not keep the queue alive past the workload.
   EXPECT_FALSE(sim.pending());

@@ -258,5 +258,65 @@ TEST(SelectiveRetx, DisabledReceiverSendsNoNaks) {
   EXPECT_GT(h.sender->stats().retransmissions, 0u);  // backstop did it
 }
 
+TEST(SelectiveRetx, RecreatedTpduNaksOnlyOnItsOwnDeadline) {
+  // A TPDU is rejected (ED code mismatch) and erased while its gap-NAK
+  // deadline is pending; its retransmission recreates the context. Only
+  // the new context's deadline may NAK it: D after its first chunk,
+  // then every D. The erased context's deadline must not start a
+  // second chain.
+  constexpr SimTime kDelay = 10 * kMillisecond;
+  constexpr SimTime kRecreatedAt = 3 * kMillisecond;
+  Simulator sim;
+  std::vector<SimTime> naks;
+  std::vector<TpduVerdict> verdicts;
+  ReceiverConfig rc;
+  rc.connection_id = 7;
+  rc.element_size = 4;
+  rc.app_buffer_bytes = 1024;
+  rc.mode = DeliveryMode::kReassemble;
+  rc.gap_nak_delay = kDelay;
+  rc.send_control = [&](Chunk c) {
+    if (c.h.type == ChunkType::kSignal && parse_gap_nak(c)) {
+      naks.push_back(sim.now());
+    }
+  };
+  rc.on_tpdu = [&](const TpduOutcome& o) { verdicts.push_back(o.verdict); };
+  ChunkTransportReceiver receiver(sim, std::move(rc));
+
+  // One TPDU's chunks, each sent alone.
+  std::vector<PacketBytes> wire;
+  SenderConfig sc;
+  sc.framer.connection_id = 7;
+  sc.framer.element_size = 4;
+  sc.framer.tpdu_elements = 256;
+  sc.framer.max_chunk_elements = 64;
+  sc.mtu = 300;
+  sc.send_packet = [&wire](PacketBytes b) { wire.push_back(std::move(b)); };
+  ChunkTransportSender sender(sim, std::move(sc));
+  sender.send_stream(pattern(1024));
+  ASSERT_GE(wire.size(), 2u);
+  auto deliver = [&](PacketBytes bytes) {
+    receiver.on_packet(SimPacket{.bytes = std::move(bytes)});
+  };
+
+  // t=0: the whole TPDU with one payload byte flipped, so it completes
+  // and fails WSC-2 while its first chunk's deadline is pending.
+  ParsedPacket first = decode_packet(wire.front());
+  ASSERT_TRUE(first.ok);
+  first.chunks.front().payload[0] ^= 0x01;
+  deliver(encode_packet(first.chunks, 1500));
+  for (std::size_t i = 1; i < wire.size(); ++i) deliver(wire[i]);
+  ASSERT_EQ(verdicts, std::vector<TpduVerdict>{TpduVerdict::kCodeMismatch});
+  // The retransmission's first packet recreates the context; the rest
+  // never come, so the new context keeps NAKing until its budget ends.
+  sim.arm_at(kRecreatedAt, [&] { deliver(wire.front()); });
+  sim.run(kSecond);
+
+  ASSERT_FALSE(naks.empty());
+  for (std::size_t i = 0; i < naks.size(); ++i) {
+    EXPECT_EQ(naks[i], kRecreatedAt + (i + 1) * kDelay) << "NAK " << i;
+  }
+}
+
 }  // namespace
 }  // namespace chunknet

@@ -22,9 +22,9 @@ namespace {
 TEST(TimerWheel, FiresAtDeadlineNeverEarly) {
   TimerWheel w({/*tick=*/kMillisecond});
   std::vector<int> fired;
-  w.arm(5 * kMillisecond, [&] { fired.push_back(5); });
-  w.arm(2 * kMillisecond, [&] { fired.push_back(2); });
-  w.arm(9 * kMillisecond, [&] { fired.push_back(9); });
+  w.arm_at(5 * kMillisecond, [&] { fired.push_back(5); });
+  w.arm_at(2 * kMillisecond, [&] { fired.push_back(2); });
+  w.arm_at(9 * kMillisecond, [&] { fired.push_back(9); });
   EXPECT_EQ(w.armed(), 3u);
 
   w.advance(1 * kMillisecond);
@@ -41,7 +41,7 @@ TEST(TimerWheel, FiresAtDeadlineNeverEarly) {
 TEST(TimerWheel, SubTickDeadlineRoundsUp) {
   TimerWheel w({/*tick=*/kMillisecond});
   bool fired = false;
-  w.arm(kMillisecond + 1, [&] { fired = true; });  // just past tick 1
+  w.arm_at(kMillisecond + 1, [&] { fired = true; });  // just past tick 1
   w.advance(kMillisecond);
   EXPECT_FALSE(fired);  // never early
   w.advance(2 * kMillisecond);
@@ -52,7 +52,7 @@ TEST(TimerWheel, PastDeadlineFiresOnNextAdvance) {
   TimerWheel w({kMillisecond});
   w.advance(10 * kMillisecond);
   bool fired = false;
-  w.arm(3 * kMillisecond, [&] { fired = true; });  // already past
+  w.arm_at(3 * kMillisecond, [&] { fired = true; });  // already past
   w.advance(10 * kMillisecond);                    // no time progress needed
   EXPECT_TRUE(fired);
 }
@@ -60,7 +60,7 @@ TEST(TimerWheel, PastDeadlineFiresOnNextAdvance) {
 TEST(TimerWheel, CancelIsO1AndStaleIdsAreSafe) {
   TimerWheel w({kMillisecond});
   bool fired = false;
-  const auto id = w.arm(5 * kMillisecond, [&] { fired = true; });
+  const auto id = w.arm_at(5 * kMillisecond, [&] { fired = true; });
   EXPECT_TRUE(w.cancel(id));
   EXPECT_FALSE(w.cancel(id));  // double-cancel: no-op
   w.advance(10 * kMillisecond);
@@ -69,14 +69,14 @@ TEST(TimerWheel, CancelIsO1AndStaleIdsAreSafe) {
 
   // A fired timer's id goes stale too.
   int n = 0;
-  const auto id2 = w.arm(12 * kMillisecond, [&] { ++n; });
+  const auto id2 = w.arm_at(12 * kMillisecond, [&] { ++n; });
   w.advance(20 * kMillisecond);
   EXPECT_EQ(n, 1);
   EXPECT_FALSE(w.cancel(id2));
 
   // The recycled slab slot gets a new generation: the old id must not
   // cancel the new timer.
-  const auto id3 = w.arm(25 * kMillisecond, [&] { ++n; });
+  const auto id3 = w.arm_at(25 * kMillisecond, [&] { ++n; });
   EXPECT_NE(id2, id3);
   EXPECT_FALSE(w.cancel(id2));
   w.advance(30 * kMillisecond);
@@ -90,7 +90,7 @@ TEST(TimerWheel, CascadesAcrossLevels) {
   std::vector<std::uint64_t> fired;
   const std::uint64_t deadlines_ms[] = {3, 250, 300, 65000, 70000, 20000000};
   for (const std::uint64_t ms : deadlines_ms) {
-    w.arm(ms * kMillisecond, [&fired, ms] { fired.push_back(ms); });
+    w.arm_at(ms * kMillisecond, [&fired, ms] { fired.push_back(ms); });
   }
   for (const std::uint64_t ms : deadlines_ms) {
     w.advance(ms * kMillisecond - 1);
@@ -116,12 +116,12 @@ TEST(TimerWheel, RandomizedAgainstReferenceSchedule) {
     bool fired;
   };
   std::vector<Ref> refs(4096);
-  std::vector<TimerWheel::TimerId> ids(refs.size());
+  std::vector<TimerId> ids(refs.size());
   SimTime last_advance = 0;
   std::vector<SimTime> fire_time(refs.size(), 0);
   for (std::size_t i = 0; i < refs.size(); ++i) {
     refs[i].deadline = rng.range(1, 2'000'000) * kMicrosecond;
-    ids[i] = w.arm(refs[i].deadline, [&, i] {
+    ids[i] = w.arm_at(refs[i].deadline, [&, i] {
       refs[i].fired = true;
       fire_time[i] = last_advance;
     });
@@ -152,10 +152,10 @@ TEST(TimerWheel, CallbackMayRearmItself) {
   int count = 0;
   std::function<void()> tick = [&] {
     if (++count < 5) {
-      w.arm((count + 1) * 10 * kMillisecond, tick);
+      w.arm_at((count + 1) * 10 * kMillisecond, tick);
     }
   };
-  w.arm(10 * kMillisecond, tick);
+  w.arm_at(10 * kMillisecond, tick);
   w.advance(kSecond);
   EXPECT_EQ(count, 5);
   EXPECT_EQ(w.armed(), 0u);
@@ -166,7 +166,7 @@ TEST(SimTimerWheel, FiresOnSimClockWithoutPerTimerEvents) {
   SimTimerWheel timers(sim, {kMillisecond});
   std::vector<SimTime> fired_at;
   for (int i = 1; i <= 100; ++i) {
-    timers.arm(i * 10 * kMillisecond,
+    timers.arm_at(i * 10 * kMillisecond,
                [&fired_at, &sim] { fired_at.push_back(sim.now()); });
   }
   sim.run();
@@ -181,8 +181,8 @@ TEST(SimTimerWheel, ArmEarlierDeadlinePullsWakeForward) {
   Simulator sim;
   SimTimerWheel timers(sim, {kMillisecond});
   std::vector<int> order;
-  timers.arm(100 * kMillisecond, [&] { order.push_back(100); });
-  timers.arm(5 * kMillisecond, [&] { order.push_back(5); });
+  timers.arm_at(100 * kMillisecond, [&] { order.push_back(100); });
+  timers.arm_at(5 * kMillisecond, [&] { order.push_back(5); });
   sim.run();
   EXPECT_EQ(order, std::vector<int>({5, 100}));
 }
@@ -191,7 +191,7 @@ TEST(SimTimerWheel, CancelledTimersLeaveNoFire) {
   Simulator sim;
   SimTimerWheel timers(sim, {kMillisecond});
   bool fired = false;
-  const auto id = timers.arm(50 * kMillisecond, [&] { fired = true; });
+  const auto id = timers.arm_at(50 * kMillisecond, [&] { fired = true; });
   sim.arm_at(10 * kMillisecond, [&] { timers.cancel(id); });
   sim.run();
   EXPECT_FALSE(fired);
@@ -298,6 +298,45 @@ TEST(SimTimerWheel, DrivesTransportRtoAndGapNakDeadlines) {
   // The deadlines really lived on the wheel.
   EXPECT_GT(wheel.wheel().stats().armed_total, 0u);
   EXPECT_GT(wheel.wheel().stats().fired, 0u);
+}
+
+TEST(SimTimerWheel, TransportDestroyedWithDeadlinesArmedLeavesNoneBehind) {
+  // A sender with RTOs armed and a receiver with a gap-NAK armed are
+  // destroyed mid-transfer while the run goes on, on a plain Simulator
+  // and on a wheel: nothing of theirs may be left to fire.
+  for (const bool on_wheel : {false, true}) {
+    Simulator sim;
+    SimTimerWheel wheel(sim);
+    Clock& clock = on_wheel ? static_cast<Clock&>(wheel) : sim;
+
+    ReceiverConfig rc;
+    rc.connection_id = 7;
+    rc.element_size = 4;
+    rc.app_buffer_bytes = 4096;
+    rc.gap_nak_delay = 10 * kMillisecond;
+    rc.send_control = [](Chunk) {};
+    auto receiver = std::make_unique<ChunkTransportReceiver>(clock, rc);
+
+    SenderConfig sc;
+    sc.framer.connection_id = 7;
+    sc.framer.element_size = 4;
+    sc.framer.tpdu_elements = 512;
+    sc.framer.max_chunk_elements = 64;
+    sc.mtu = 300;  // several packets per TPDU
+    sc.retransmit_timeout = 20 * kMillisecond;
+    std::vector<PacketBytes> wire;
+    sc.send_packet = [&wire](PacketBytes b) { wire.push_back(std::move(b)); };
+    auto sender = std::make_unique<ChunkTransportSender>(clock, sc);
+    sender->send_stream(std::vector<std::uint8_t>(4096, 7));
+    receiver->on_packet(SimPacket{.bytes = wire.front()});  // TPDU open
+
+    sender.reset();
+    receiver.reset();
+    EXPECT_EQ(wheel.wheel().armed(), 0u) << on_wheel;
+    EXPECT_EQ(sim.pending(), on_wheel);  // only the wheel's pumps are left
+    sim.run();  // they advance an empty wheel
+    EXPECT_EQ(wheel.wheel().stats().fired, 0u) << on_wheel;
+  }
 }
 
 TEST(PickQueue, HandlesRecycleSafely) {

@@ -761,5 +761,42 @@ TEST(UdpLoopback, SessionDestroyedWithControlDeferredLeavesTheLoopSafe) {
   EXPECT_EQ(tx.sender().stats().tpdus_acked, 0u);
 }
 
+TEST(UdpLoopback, SessionsDestroyedWithDeadlinesArmedLeaveTheLoopClean) {
+  // A sender with RTOs armed and a receiver with a gap-NAK armed are
+  // destroyed while the loop lives on; polling past both deadlines
+  // must run nothing of theirs (no callback into a freed session).
+  EventLoop loop;
+  const auto stream = pattern(8 * 1024);
+
+  UdpReceiverSessionConfig rcfg;
+  rcfg.bind = UdpAddress{0x7f000001, 0};
+  rcfg.receiver = fast_receiver_config(stream.size());
+  rcfg.receiver.gap_nak_delay = 10 * kMillisecond;
+  auto rx = std::make_unique<UdpReceiverSession>(loop, rcfg);
+  ASSERT_TRUE(rx->ok());
+
+  UdpSenderSessionConfig scfg;
+  scfg.peer = rx->endpoint().local_addr();
+  scfg.sender = fast_sender_config();
+  scfg.sender.retransmit_timeout = 20 * kMillisecond;
+  auto tx = std::make_unique<UdpSenderSession>(loop, scfg);
+  ASSERT_TRUE(tx->ok());
+
+  // One chunk of a TPDU straight into the receiver: an incomplete TPDU
+  // whose gap-NAK deadline is armed on the loop.
+  const std::vector<Chunk> chunks = frame_stream(stream, scfg.sender.framer);
+  rx->receiver().on_packet(
+      SimPacket{.bytes = encode_packet(std::span(chunks).first(1), 1500)});
+  tx->send_stream(stream);  // one RTO per TPDU, none acked yet
+  ASSERT_GT(loop.timers().armed(), 1u);
+
+  tx.reset();
+  rx.reset();
+  EXPECT_EQ(loop.timers().armed(), 0u);
+  const std::uint64_t fires = loop.stats().timer_fires;
+  loop.run_until([] { return false; }, loop.now() + 60 * kMillisecond);
+  EXPECT_EQ(loop.stats().timer_fires, fires);
+}
+
 }  // namespace
 }  // namespace chunknet
