@@ -6,15 +6,15 @@
 
 namespace chunknet {
 
-std::vector<Chunk> frame_stream(std::span<const std::uint8_t> stream,
-                                const FramerOptions& opts) {
+std::vector<ChunkView> frame_stream_views(std::span<const std::uint8_t> stream,
+                                         const FramerOptions& opts) {
   assert(opts.element_size > 0);
   assert(stream.size() % opts.element_size == 0);
   assert(opts.tpdu_elements > 0);
 
   const std::uint32_t total =
       static_cast<std::uint32_t>(stream.size() / opts.element_size);
-  std::vector<Chunk> out;
+  std::vector<ChunkView> out;
   if (total == 0) return out;
 
   // Element-indexed framing state.
@@ -50,7 +50,7 @@ std::vector<Chunk> frame_stream(std::span<const std::uint8_t> stream,
     }
     if (run > 0xFFFFu) run = 0xFFFFu;  // LEN is a 16-bit field
 
-    Chunk c;
+    ChunkView c;
     c.h.type = ChunkType::kData;
     c.h.size = opts.element_size;
     c.h.len = static_cast<std::uint16_t>(run);
@@ -59,8 +59,7 @@ std::vector<Chunk> frame_stream(std::span<const std::uint8_t> stream,
     c.h.xpdu = {xpdu_id, xpdu_sn, false};
     const std::size_t off = static_cast<std::size_t>(element) * opts.element_size;
     const std::size_t bytes = static_cast<std::size_t>(run) * opts.element_size;
-    c.payload.assign(stream.begin() + static_cast<std::ptrdiff_t>(off),
-                     stream.begin() + static_cast<std::ptrdiff_t>(off + bytes));
+    c.payload = stream.subspan(off, bytes);
 
     element += run;
     conn_sn += run;
@@ -87,35 +86,18 @@ std::vector<Chunk> frame_stream(std::span<const std::uint8_t> stream,
       c.h.tpdu.st = true;
       c.h.xpdu.st = true;
     }
-    out.push_back(std::move(c));
+    out.push_back(c);
   }
   return out;
 }
 
-std::vector<std::vector<Chunk>> group_by_tpdu(std::vector<Chunk> chunks) {
-  std::vector<std::vector<Chunk>> groups;
-  for (Chunk& c : chunks) {
-    if (!groups.empty() && !groups.back().empty() &&
-        groups.back().back().h.tpdu.id == c.h.tpdu.id &&
-        groups.back().back().h.conn.id == c.h.conn.id) {
-      groups.back().push_back(std::move(c));
-      continue;
-    }
-    bool placed = false;
-    for (auto& g : groups) {
-      if (!g.empty() && g.back().h.tpdu.id == c.h.tpdu.id &&
-          g.back().h.conn.id == c.h.conn.id) {
-        g.push_back(std::move(c));
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      groups.emplace_back();
-      groups.back().push_back(std::move(c));
-    }
-  }
-  return groups;
+std::vector<Chunk> frame_stream(std::span<const std::uint8_t> stream,
+                                const FramerOptions& opts) {
+  const std::vector<ChunkView> views = frame_stream_views(stream, opts);
+  std::vector<Chunk> out;
+  out.reserve(views.size());
+  for (const ChunkView& v : views) out.push_back(v.to_chunk());
+  return out;
 }
 
 Chunk make_ed_chunk(std::uint32_t connection_id, std::uint32_t tpdu_id,

@@ -39,13 +39,16 @@ struct FramerOptions {
 };
 
 /// Splits a byte stream into data chunks under the three-level framing.
-/// The stream length must be a multiple of element_size.
+/// The views' payloads alias `stream`, which must outlive them. Each
+/// TPDU comes out as one consecutive run of views (no T.ID recurs), so
+/// a sender can take a TPDU as a subrange. The stream length must be a
+/// multiple of element_size.
+std::vector<ChunkView> frame_stream_views(std::span<const std::uint8_t> stream,
+                                          const FramerOptions& opts);
+
+/// The same chunks as frame_stream_views, each owning its payload.
 std::vector<Chunk> frame_stream(std::span<const std::uint8_t> stream,
                                 const FramerOptions& opts);
-
-/// Groups chunks by T.ID (in first-seen order); used by senders that
-/// emit one ED chunk per TPDU and by tests.
-std::vector<std::vector<Chunk>> group_by_tpdu(std::vector<Chunk> chunks);
 
 /// Builds the TPDU error-detection control chunk (TYPE = ED, Figure 3):
 /// payload is the 8-byte WSC-2 code (P0 ‖ P1). The chunk inherits the

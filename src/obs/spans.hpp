@@ -27,7 +27,7 @@ enum class SpanEventKind : std::uint8_t {
   kConnRefused,       ///< admission refused (aux = reserve asked)
   kCreditGrant,       ///< credit advertised/applied (aux = limit bytes)
   kTpduFramed,        ///< sender framed the TPDU (span begin, sender)
-  kTpduAdmitted,      ///< flow control admitted the TPDU to the wire
+  kTpduAdmitted,      ///< the send queue admitted the TPDU to the wire
   kTpduAcked,         ///< sender saw the positive ACK (span end)
   kTpduGaveUp,        ///< sender abandoned after max retries (span end)
   kTpduFirstChunk,    ///< receiver opened TPDU state (span begin)

@@ -99,19 +99,7 @@ void ChunkTransportReceiver::abort_for_governor(std::uint32_t tpdu_id,
                                                 std::size_t incoming_bytes) {
   ++stats_.governor_refusals;
   obs_add(m_.governor_refusals);
-  if (TpduState* st = tpdus_.find(tpdu_id)) {
-    for (const HeldChunk& hc : st->held) {
-      drop_unplaced(hc.chunk.payload.size(), /*was_held=*/true);
-      ++stats_.held_chunks_evicted;
-      stats_.held_bytes_evicted += hc.chunk.payload.size();
-      obs_add(m_.held_chunks_evicted);
-      obs_add(m_.held_bytes_evicted, hc.chunk.payload.size());
-    }
-    ++stats_.tpdus_evicted;
-    obs_add(m_.tpdus_evicted);
-    erase_tpdu_entry(tpdu_id, *st);
-  }
-  span(SpanEventKind::kTpduEvicted, tpdu_id, 1);
+  if (tpdus_.find(tpdu_id) != nullptr) evict_tpdu(tpdu_id, /*aux=*/1);
   drop_unplaced(incoming_bytes, /*was_held=*/false);
 }
 
@@ -400,62 +388,52 @@ void ChunkTransportReceiver::handle_data_chunk(const ChunkView& v,
       }
       break;
     }
-    case DeliveryMode::kReassemble:
-      if (cfg_.max_held_bytes > 0) {
-        while (stats_.held_bytes_now + v.payload.size() >
-               cfg_.max_held_bytes) {
-          const auto evicted = evict_oldest_holder();
-          if (!evicted) break;  // nothing held: cap below one chunk
-          // The incoming chunk's own TPDU was the oldest holder: its
-          // state (this chunk included) is gone; the sender's
-          // retransmission will start it clean. The chunk itself was
-          // triaged-accepted above, so account its disposition.
-          if (*evicted == tpdu_id) {
-            drop_unplaced(v.payload.size(), /*was_held=*/false);
-            return;
-          }
-        }
-      }
-      if (cfg_.governor != nullptr) {
-        // Hard-watermark gate: evict our own oldest holders first, then
-        // let the governor shed other clients under its policy. If no
-        // room can be made, abort THIS TPDU — the hard bound is never
-        // crossed, and the retransmission starts clean once the
-        // sender's credit recovers.
-        while (!cfg_.governor->fits(v.payload.size())) {
-          const auto evicted = evict_oldest_holder();
-          if (!evicted) break;
-          if (*evicted == tpdu_id) {
-            drop_unplaced(v.payload.size(), /*was_held=*/false);
-            return;
-          }
-        }
-        if (!cfg_.governor->fits(v.payload.size()) &&
-            !cfg_.governor->make_room(v.payload.size(),
-                                      cfg_.connection_id)) {
-          abort_for_governor(tpdu_id, v.payload.size());
-          return;
-        }
-      }
-      {
-        // The eviction/shedding paths above may have erased entries
-        // (including, via the governor's shed hooks, this very TPDU) and
-        // the flat table moves entries on erase — re-resolve the state
-        // before appending the hold.
-        TpduState* hst = tpdus_.find(tpdu_id);
-        if (hst == nullptr) {
+    case DeliveryMode::kReassemble: {
+      // Held-bytes cap and hard-watermark gate: evict our own oldest
+      // holders while either has no room for this chunk.
+      const std::size_t n = v.payload.size();
+      while ((cfg_.max_held_bytes > 0 &&
+              stats_.held_bytes_now + n > cfg_.max_held_bytes) ||
+             (cfg_.governor != nullptr && !cfg_.governor->fits(n))) {
+        const auto evicted = evict_oldest_holder();
+        if (!evicted) break;  // nothing held: the cap is below one chunk
+        // The incoming chunk's own TPDU was the oldest holder: its
+        // state (this chunk included) is gone; the sender's
+        // retransmission will start it clean. The chunk itself was
+        // triaged-accepted above, so account its disposition.
+        if (*evicted == tpdu_id) {
           drop_unplaced(v.payload.size(), /*was_held=*/false);
           return;
         }
-        hold_bytes(v.payload.size());
-        trace_chunk(TraceEventKind::kChunkHeld, v.h, packet_id);
-        if (hst->held.empty()) {
-          hst->holder_node = holders_.push_back(tpdu_id);
-        }
-        hst->held.push_back(HeldChunk{v.to_chunk(), packet_created_at,
-                                      packet_id});
       }
+      // Then let the governor shed other clients under its policy. If no
+      // room can be made, abort THIS TPDU: the hard bound is never
+      // crossed, and the retransmission starts clean once the sender's
+      // credit recovers.
+      if (cfg_.governor != nullptr &&
+          !cfg_.governor->fits(v.payload.size()) &&
+          !cfg_.governor->make_room(v.payload.size(), cfg_.connection_id)) {
+        abort_for_governor(tpdu_id, v.payload.size());
+        return;
+      }
+      // The eviction/shedding paths above may have erased entries
+      // (including, via the governor's shed hooks, this very TPDU) and
+      // the flat table moves entries on erase — re-resolve the state
+      // before appending the hold.
+      TpduState* hst = tpdus_.find(tpdu_id);
+      if (hst == nullptr) {
+        drop_unplaced(v.payload.size(), /*was_held=*/false);
+        return;
+      }
+      hold_bytes(v.payload.size());
+      trace_chunk(TraceEventKind::kChunkHeld, v.h, packet_id);
+      if (hst->held.empty()) {
+        hst->holder_node = holders_.push_back(tpdu_id);
+      }
+      hst->held.push_back(HeldChunk{v.to_chunk(), packet_created_at,
+                                    packet_id});
       break;
+    }
   }
 
   if (TpduState* fst = tpdus_.find(tpdu_id)) try_finish(tpdu_id, *fst);
@@ -766,7 +744,8 @@ void ChunkTransportReceiver::evict_for_open_cap() {
   evict_tpdu(victim_id);
 }
 
-void ChunkTransportReceiver::evict_tpdu(std::uint32_t tpdu_id) {
+void ChunkTransportReceiver::evict_tpdu(std::uint32_t tpdu_id,
+                                        std::uint64_t aux) {
   TpduState& st = *tpdus_.find(tpdu_id);
   for (const HeldChunk& hc : st.held) {
     drop_unplaced(hc.chunk.payload.size(), /*was_held=*/true);
@@ -778,7 +757,7 @@ void ChunkTransportReceiver::evict_tpdu(std::uint32_t tpdu_id) {
   }
   ++stats_.tpdus_evicted;
   obs_add(m_.tpdus_evicted);
-  span(SpanEventKind::kTpduEvicted, tpdu_id, 0);
+  span(SpanEventKind::kTpduEvicted, tpdu_id, aux);
   erase_tpdu_entry(tpdu_id, st);
 }
 

@@ -293,8 +293,9 @@ class ChunkTransportReceiver final : public PacketSink {
   /// max_open_tpdus pressure: drops one context entry (finished
   /// tombstones first, oldest first; else the oldest unfinished TPDU).
   void evict_for_open_cap();
-  /// Drops one TPDU's held chunks and context, counted as an eviction.
-  void evict_tpdu(std::uint32_t tpdu_id);
+  /// Drops one TPDU's held chunks and context, counted as an eviction;
+  /// `aux` tags its kTpduEvicted span (1 = governor abort).
+  void evict_tpdu(std::uint32_t tpdu_id, std::uint64_t aux = 0);
   /// Cancels the TPDU's gap-NAK, unlinks its eviction-queue nodes and
   /// erases its entry. Any TpduState pointers are invalid afterwards.
   void erase_tpdu_entry(std::uint32_t tpdu_id, TpduState& st);
@@ -307,8 +308,9 @@ class ChunkTransportReceiver final : public PacketSink {
   /// the queue; reassemble: evict the oldest holder) and returns the
   /// bytes released.
   std::uint64_t shed_held();
-  /// Aborts THIS TPDU under hard-watermark pressure (its holds and the
-  /// incoming chunk are dropped; retransmission starts clean).
+  /// Aborts THIS TPDU under hard-watermark pressure: a refusal, an
+  /// eviction of its holds, and the incoming chunk's drop
+  /// (retransmission starts clean).
   void abort_for_governor(std::uint32_t tpdu_id, std::size_t incoming_bytes);
   /// Advertises a CreditGrant reflecting current governor headroom.
   void maybe_send_grant();

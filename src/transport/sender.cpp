@@ -1,6 +1,7 @@
 #include "src/transport/sender.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <optional>
 
 #include "src/chunk/codec.hpp"
@@ -82,44 +83,42 @@ void ChunkTransportSender::span(SpanEventKind kind, std::uint32_t tpdu_id,
 }
 
 void ChunkTransportSender::send_stream(std::span<const std::uint8_t> stream) {
+  if (started_) std::abort();  // the pending views alias stream_
   started_ = true;
-  auto chunks = frame_stream(stream, cfg_.framer);
-  auto tpdus = group_by_tpdu(std::move(chunks));
+  stream_.assign(stream.begin(), stream.end());
+  const std::vector<ChunkView> views = frame_stream_views(stream_, cfg_.framer);
 
-  for (auto& tpdu_chunks : tpdus) {
-    if (tpdu_chunks.empty()) continue;
-    const std::uint32_t tpdu_id = tpdu_chunks.front().h.tpdu.id;
-    const std::uint32_t conn_sn = tpdu_chunks.front().h.conn.sn;
+  for (auto first = views.begin(); first != views.end();) {
+    const std::uint32_t tpdu_id = first->h.tpdu.id;
+    const auto last = std::find_if(first, views.end(), [&](const ChunkView& v) {
+      return v.h.tpdu.id != tpdu_id;
+    });
+    const std::span<const ChunkView> data(first, last);
+    first = last;
 
     // Transmitter-side invariant: absorb the pristine chunks once.
     TpduInvariant inv(cfg_.invariant);
     bool ok = true;
-    for (const Chunk& c : tpdu_chunks) ok = inv.absorb(c) && ok;
+    for (const ChunkView& v : data) ok = inv.absorb(v) && ok;
     if (!ok) continue;  // stream too large for the invariant layout
 
-    tpdu_chunks.push_back(make_ed_chunk(cfg_.framer.connection_id, tpdu_id,
-                                        conn_sn, inv.value()));
-    for (const Chunk& c : tpdu_chunks) {
-      trace_chunk(TraceEventKind::kChunkBuilt, c.h);
+    // Built in place: chunks.back() views `ed`, and map nodes never move.
+    PendingTpdu& p = outstanding_.try_emplace(tpdu_id).first->second;
+    p.ed = make_ed_chunk(cfg_.framer.connection_id, tpdu_id,
+                         data.front().h.conn.sn, inv.value());
+    p.chunks.reserve(data.size() + 1);
+    p.chunks.assign(data.begin(), data.end());
+    p.chunks.push_back(as_view(p.ed));
+    for (const ChunkView& v : p.chunks) {
+      trace_chunk(TraceEventKind::kChunkBuilt, v.h);
+      if (v.h.type == ChunkType::kData) p.payload_bytes += v.payload.size();
     }
-
-    PendingTpdu pending;
-    for (const Chunk& c : tpdu_chunks) {
-      if (c.h.type == ChunkType::kData) pending.payload_bytes += c.payload.size();
-    }
-    pending.chunks = std::move(tpdu_chunks);
-    auto [it, inserted] = outstanding_.emplace(tpdu_id, std::move(pending));
     ++stats_.tpdus_sent;
     obs_add(m_.tpdus_sent);
-    span(SpanEventKind::kTpduFramed, tpdu_id, it->second.payload_bytes);
-    if (cfg_.flow.enabled) {
-      send_queue_.push_back(tpdu_id);
-    } else {
-      it->second.admitted = true;
-      transmit_tpdu(tpdu_id, it->second);
-    }
+    span(SpanEventKind::kTpduFramed, tpdu_id, p.payload_bytes);
+    send_queue_.push_back(tpdu_id);
   }
-  if (cfg_.flow.enabled) pump_queue();
+  pump_queue();
 }
 
 void ChunkTransportSender::admit_tpdu(std::uint32_t tpdu_id, PendingTpdu& p) {
@@ -138,8 +137,9 @@ void ChunkTransportSender::pump_queue() {
       send_queue_.pop_front();       // happen, but never wedge on it)
       continue;
     }
-    if (inflight_ >= slots_ ||
-        credit_consumed_ + it->second.payload_bytes > credit_limit_) {
+    if (cfg_.flow.enabled &&
+        (inflight_ >= slots_ ||
+         credit_consumed_ + it->second.payload_bytes > credit_limit_)) {
       break;
     }
     send_queue_.pop_front();
@@ -151,7 +151,12 @@ void ChunkTransportSender::pump_queue() {
     obs_add(m_.flow_blocked);
   }
   blocked_ = now_blocked;
-  if (now_blocked) arm_probe();
+  if (now_blocked) {
+    arm_probe();
+  } else {
+    clock_.cancel(probe_timer_);  // nothing left for a probe to force
+    probe_timer_ = 0;
+  }
   publish_flow_gauges();
 }
 
@@ -160,7 +165,6 @@ void ChunkTransportSender::arm_probe() {
   const std::uint64_t epoch = admit_epoch_;
   probe_timer_ = clock_.arm_in(cfg_.flow.probe_timeout, [this, epoch] {
     probe_timer_ = 0;
-    if (send_queue_.empty()) return;
     if (admit_epoch_ != epoch) {
       // Progress happened since arming; still blocked, so keep watch.
       arm_probe();
@@ -183,7 +187,7 @@ void ChunkTransportSender::arm_probe() {
 
 void ChunkTransportSender::retire(Outstanding::iterator it) {
   clock_.cancel(it->second.rto);
-  if (cfg_.flow.enabled && it->second.admitted && inflight_ > 0) --inflight_;
+  if (it->second.admitted && inflight_ > 0) --inflight_;
   outstanding_.erase(it);
 }
 
@@ -230,19 +234,12 @@ void ChunkTransportSender::transmit_tpdu(std::uint32_t tpdu_id,
   p.last_sent = clock_.now();
   if (p.attempts > 1) {
     p.retransmitted = true;
-    for (const Chunk& c : p.chunks) {
-      if (c.h.type == ChunkType::kData) {
-        stats_.retx_payload_bytes += c.payload.size();
-        obs_add(m_.retx_payload_bytes, c.payload.size());
-      }
-    }
+    stats_.retx_payload_bytes += p.payload_bytes;
+    obs_add(m_.retx_payload_bytes, p.payload_bytes);
   }
-  // Zero-copy: packets borrow the pending chunks' payload bytes, so a
-  // retransmission re-references the same bytes it sent last time.
-  std::vector<ChunkView> views;
-  views.reserve(p.chunks.size());
-  for (const Chunk& c : p.chunks) views.push_back(as_view(c));
-  send_chunk_views(views);
+  // The stored views go straight to the packer, which copies them into
+  // its own work stack: no per-transmission vector.
+  send_chunk_views(p.chunks);
   arm_timer(tpdu_id);
 }
 
@@ -252,10 +249,10 @@ std::size_t ChunkTransportSender::abandon_outstanding() {
     give_up(outstanding_.begin());
     ++n;
   }
-  // Flow-queued ids point into outstanding_, so the loop above already
-  // abandoned them; just clear the queue so no timer re-admits a ghost.
+  // Queued ids point into outstanding_, so the loop above already
+  // abandoned them; emptying the queue also cancels the probe.
   send_queue_.clear();
-  if (cfg_.flow.enabled) publish_flow_gauges();
+  pump_queue();
   return n;
 }
 
@@ -276,7 +273,7 @@ void ChunkTransportSender::arm_timer(std::uint32_t tpdu_id) {
   it->second.rto = clock_.arm_in(rto_.timeout(), [this, it] {
     if (it->second.attempts > cfg_.max_retransmits) {
       give_up(it);
-      if (cfg_.flow.enabled) pump_queue();
+      pump_queue();
       return;
     }
     rto_.on_timeout();
@@ -371,7 +368,7 @@ void ChunkTransportSender::handle_gap_nak(const ChunkView& signal) {
   // exactly like the whole-TPDU retransmission path.
   if (it->second.attempts > cfg_.max_retransmits) {
     give_up(it);
-    if (cfg_.flow.enabled) pump_queue();
+    pump_queue();
     return;
   }
   ++it->second.attempts;
@@ -388,13 +385,11 @@ void ChunkTransportSender::handle_gap_nak(const ChunkView& signal) {
     trace_chunk(TraceEventKind::kChunkBuilt, piece.h, 1);
     resend.push_back(piece);
   };
-  for (const Chunk& c : it->second.chunks) {
-    if (c.h.type == ChunkType::kErrorDetection) {
-      if (nak->need_ed_chunk) resend.push_back(as_view(c));
+  for (const ChunkView& v : it->second.chunks) {
+    if (v.h.type == ChunkType::kErrorDetection) {
+      if (nak->need_ed_chunk) resend.push_back(v);
       continue;
     }
-    if (c.h.type != ChunkType::kData) continue;
-    const ChunkView v = as_view(c);
     bool taken = false;
     for (const GapRange& g : nak->gaps) {
       if (auto piece = slice_view(v, g.first_sn,
@@ -459,14 +454,14 @@ void ChunkTransportSender::handle_feedback(std::span<const ChunkView> views) {
       obs_add(m_.tpdus_acked);
       span(SpanEventKind::kTpduAcked, ack.tpdu_id);
       retire(it);
-      if (cfg_.flow.enabled) pump_queue();
+      pump_queue();
     } else {
       // NAK: retransmit immediately with the same identifiers.
       ++stats_.naks;
       obs_add(m_.naks);
       if (it->second.attempts > cfg_.max_retransmits) {
         give_up(it);
-        if (cfg_.flow.enabled) pump_queue();
+        pump_queue();
         continue;
       }
       ++stats_.retransmissions;

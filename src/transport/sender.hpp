@@ -1,14 +1,15 @@
 // The chunk transport sender.
 //
-// Frames an application stream into chunks (three-level framing of
-// Figure 1), computes each TPDU's WSC-2 invariant (Figure 5) and
-// attaches it as an ED control chunk (Figure 3), packetizes to the
-// first-hop MTU, and handles error control: per-TPDU ACK/NAK plus a
-// retransmission timer. Every transmission (first send, resend, GapNak
-// slice) packs views of the pending TPDU's chunks with pack_views and
-// encodes each packet's views straight into its wire buffer, the one
-// payload copy (the NIC-DMA analogue); compress_wire is the only step
-// that copies more. Repacking policies (Figure 4) belong to relays. Retransmitted data reuses the ORIGINAL
+// Frames one owned copy of the application stream into chunk views
+// (three-level framing of Figure 1), attaches each TPDU's WSC-2
+// invariant (Figure 5) as an ED control chunk (Figure 3), admits every
+// TPDU through one send queue, and handles error control: per-TPDU
+// ACK/NAK plus a retransmission timer. Every transmission (first send,
+// resend, GapNak slice) packs the TPDU's stored views with pack_views
+// and encodes each packet straight into its wire buffer, the one copy
+// after the stream copy (the NIC-DMA analogue); compress_wire is the
+// only step that copies more. Repacking policies (Figure 4) belong to
+// relays. Retransmitted data reuses the ORIGINAL
 // identifiers (§3.3: "retransmitted data should use the same
 // identifiers as the originally transmitted data"), so late duplicates
 // of the first transmission are recognized and rejected by the
@@ -99,8 +100,9 @@ class ChunkTransportSender final : public PacketSink {
     clock_.cancel(probe_timer_);
   }
 
-  /// Frames and transmits the whole stream (length must be a multiple
-  /// of the framer element size). May be called once per connection.
+  /// Copies, frames and transmits the whole stream (length must be a
+  /// multiple of the framer element size); the caller's buffer is free
+  /// on return. Once per connection: a second call aborts.
   void send_stream(std::span<const std::uint8_t> stream);
 
   /// Feedback channel: ACK/NAK chunks arrive here.
@@ -177,8 +179,13 @@ class ChunkTransportSender final : public PacketSink {
   std::uint16_t flow_slots() const { return slots_; }
 
  private:
+  /// Lives in a std::map node, which never moves: `chunks` may view `ed`.
   struct PendingTpdu {
-    std::vector<Chunk> chunks;  ///< data chunks + ED chunk, original IDs
+    PendingTpdu() = default;
+    PendingTpdu(const PendingTpdu&) = delete;  // would alias the source's `ed`
+    PendingTpdu& operator=(const PendingTpdu&) = delete;
+    std::vector<ChunkView> chunks;  ///< data views into stream_, then `ed`
+    Chunk ed;                       ///< the TPDU's ED chunk (WSC-2 code)
     int attempts{0};
     SimTime last_sent{0};  ///< RTT sample base
     TimerId rto{0};        ///< the live retransmission deadline
@@ -186,7 +193,7 @@ class ChunkTransportSender final : public PacketSink {
     /// an ACK can no longer be matched to one transmission, so Karn's
     /// rule discards its RTT sample.
     bool retransmitted{false};
-    /// Flow control: past the credit gate (transmitted at least once).
+    /// Past the send queue (transmitted at least once).
     bool admitted{false};
     std::uint64_t payload_bytes{0};  ///< data payload (credit currency)
   };
@@ -202,16 +209,16 @@ class ChunkTransportSender final : public PacketSink {
   void handle_feedback(std::span<const ChunkView> views);
   void handle_gap_nak(const ChunkView& signal);
   void handle_credit_grant(const ChunkView& signal);
-  /// Admits queued TPDUs while credit and slots allow; arms the
-  /// zero-credit probe if the queue stays blocked.
+  /// Admits queued TPDUs (under flow control, while credit and slots
+  /// allow); arms the zero-credit probe while blocked, cancels it if empty.
   void pump_queue();
   void admit_tpdu(std::uint32_t tpdu_id, PendingTpdu& p);
   void arm_probe();
   /// Drops an acked or abandoned TPDU, its RTO and its flow slot.
   void retire(Outstanding::iterator it);
   void publish_flow_gauges();
-  /// The one transmit path: packs views over chunks owned by the
-  /// pending store and hands each packet's views to send_one.
+  /// The one transmit path: packs views into the pending store and
+  /// hands each packet's views to send_one.
   void send_chunk_views(std::span<const ChunkView> views);
   /// Encodes one packet's views, compressed if configured, straight
   /// into the body it hands to send_packet.
@@ -249,6 +256,8 @@ class ChunkTransportSender final : public PacketSink {
   RtoEstimator rto_;
   ObsHandles m_;
   SpanRecorder* spans_{nullptr};  ///< resolved once; hot path
+  /// The one owned copy of the stream; pending data views alias it.
+  std::vector<std::uint8_t> stream_;
   Outstanding outstanding_;
   std::vector<std::uint32_t> gave_up_ids_;
   /// on_packet's decode scratch (capacity kept across envelopes).
@@ -256,8 +265,8 @@ class ChunkTransportSender final : public PacketSink {
   bool started_{false};
   Stats stats_;
 
-  // Flow-control state (only mutated when cfg_.flow.enabled).
-  std::deque<std::uint32_t> send_queue_;
+  std::deque<std::uint32_t> send_queue_;  ///< framed, not yet admitted
+  // Admission state (credit and slots gate only under flow control).
   std::uint64_t credit_limit_{0};     ///< cumulative admit budget (bytes)
   std::uint64_t credit_consumed_{0};  ///< payload bytes admitted so far
   std::uint16_t slots_{0};            ///< open-TPDU window

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace chunknet {
 namespace {
 
@@ -158,21 +160,44 @@ TEST(FrameStream, NoConnStopWhenDisabled) {
   EXPECT_TRUE(chunks.back().h.tpdu.st);
 }
 
-TEST(GroupByTpdu, GroupsPreservingOrder) {
-  FramerOptions fo;
-  fo.element_size = 1;
-  fo.tpdu_elements = 4;
-  fo.xpdu_elements = 2;
-  const auto chunks = frame_stream(stream_of(12), fo);
-  const auto groups = group_by_tpdu(chunks);
-  ASSERT_EQ(groups.size(), 3u);
-  for (const auto& g : groups) {
-    std::uint32_t elements = 0;
-    for (const Chunk& c : g) {
-      EXPECT_EQ(c.h.tpdu.id, g.front().h.tpdu.id);
-      elements += c.h.len;
+TEST(FrameStreamViews, EachTpduIsOneConsecutiveRunAliasingTheStream) {
+  // The sender stores a TPDU as the consecutive run of views sharing its
+  // T.ID, over its own copy of the stream: check both, across framings.
+  FramerOptions plain;
+  plain.element_size = 2;
+  plain.tpdu_elements = 6;
+  plain.xpdu_elements = 4;
+  FramerOptions implicit = plain;
+  implicit.first_conn_sn = 35;
+  implicit.implicit_ids = true;
+  FramerOptions boundaries = plain;
+  boundaries.xpdu_boundaries = {5, 2, 9};
+  boundaries.max_chunk_elements = 3;
+
+  const auto stream = stream_of(2 * 6 * 5);  // five whole TPDUs
+  for (const FramerOptions& fo : {plain, implicit, boundaries}) {
+    const auto views = frame_stream_views(stream, fo);
+    const auto chunks = frame_stream(stream, fo);
+    ASSERT_EQ(views.size(), chunks.size());
+    std::vector<std::uint32_t> run_ids;
+    std::vector<std::uint32_t> run_elements;
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      const ChunkView& v = views[i];
+      if (run_ids.empty() || run_ids.back() != v.h.tpdu.id) {
+        run_ids.push_back(v.h.tpdu.id);
+        run_elements.push_back(0);
+      }
+      run_elements.back() += v.h.len;
+      const std::size_t off = std::size_t{v.h.conn.sn - fo.first_conn_sn} *
+                              fo.element_size;
+      EXPECT_EQ(v.payload.data(), stream.data() + off);
+      EXPECT_EQ(v.to_chunk(), chunks[i]);
     }
-    EXPECT_EQ(elements, 4u);
+    ASSERT_EQ(run_ids.size(), 5u);
+    std::sort(run_ids.begin(), run_ids.end());
+    EXPECT_EQ(std::adjacent_find(run_ids.begin(), run_ids.end()),
+              run_ids.end());  // no T.ID recurs in a later run
+    for (const std::uint32_t n : run_elements) EXPECT_EQ(n, fo.tpdu_elements);
   }
 }
 

@@ -33,7 +33,13 @@ std::vector<std::vector<Chunk>> framed_tpdus(
   fo.tpdu_elements = 8;
   fo.xpdu_elements = 8;
   fo.max_chunk_elements = 4;
-  auto groups = group_by_tpdu(frame_stream(stream, fo));
+  std::vector<std::vector<Chunk>> groups;
+  for (Chunk& c : frame_stream(stream, fo)) {
+    if (groups.empty() || groups.back().front().h.tpdu.id != c.h.tpdu.id) {
+      groups.emplace_back();
+    }
+    groups.back().push_back(std::move(c));
+  }
   for (auto& g : groups) {
     TpduInvariant inv;
     for (const Chunk& c : g) inv.absorb(c);

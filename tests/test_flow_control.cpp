@@ -64,8 +64,12 @@ struct CapturingSender {
     g.grant_seq = seq;
     g.credit_limit_bytes = limit;
     g.tpdu_slots = slots;
+    feed(make_signal_chunk(g));
+  }
+
+  void feed(Chunk feedback) {
     SimPacket sp;
-    sp.bytes = encode_packet(std::vector<Chunk>{make_signal_chunk(g)}, 1500);
+    sp.bytes = encode_packet(std::vector<Chunk>{std::move(feedback)}, 1500);
     sp.id = sim.next_packet_id();
     sp.created_at = sim.now();
     sender->on_packet(std::move(sp));
@@ -143,6 +147,28 @@ TEST(FlowControl, ZeroCreditProbeKeepsTheConnectionAlive) {
   EXPECT_EQ(h.sender->flow_queued(), 0u);
   EXPECT_GT(h.sent.size(), 0u);
   EXPECT_EQ(h.sender->flow_slots(), 1u);
+}
+
+TEST(FlowControl, ProbeEndsWithTheQueueItWatched) {
+  SenderConfig::FlowControlConfig flow;
+  flow.initial_credit_bytes = 2048;  // one TPDU admitted, three queued
+  flow.initial_tpdu_slots = 8;
+  CapturingSender h(flow);
+  h.sender->send_stream(pattern(8192));
+  ASSERT_EQ(h.sender->flow_queued(), 3u);
+
+  // A grant drains the queue at 5 ms; every TPDU is acked at 10 ms.
+  h.sim.arm_at(5 * kMillisecond, [&] { h.feed_grant(1, 8192, 8); });
+  h.sim.arm_at(10 * kMillisecond, [&] {
+    for (std::uint32_t id = 1; id <= 4; ++id) h.feed(make_ack_chunk(7, id, true));
+  });
+  h.sim.run();
+
+  EXPECT_TRUE(h.sender->all_acked());
+  EXPECT_EQ(h.sender->stats().zero_credit_probes, 0u);
+  // The probe went with the queue: the run ends at the last ACK, not
+  // at a no-op probe fire probe_timeout after blocking.
+  EXPECT_EQ(h.sim.now(), 10 * kMillisecond);
 }
 
 /// Frames one 8-element TPDU (+ ED chunk) for direct receiver feeding.

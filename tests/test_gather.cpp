@@ -346,6 +346,29 @@ TEST(GatherTx, SelectiveRetransmitStaysZeroCopy) {
                          h.receiver->app_data().begin()));
 }
 
+TEST(GatherTx, ResendReadsTheSendersOwnCopyOfTheStream) {
+  // The pending views alias the sender's copy of the stream, not the
+  // caller's buffer: overwritten and freed on return, it must not leak
+  // into the RTO resend (under ASan a stale alias is a use-after-free).
+  LinkConfig cfg;
+  cfg.mtu = 1500;
+  const auto stream = pattern(16 * 1024);
+  TxHarness h(cfg, stream.size());
+  h.drop_nth = [](std::uint64_t i) { return i == 0; };
+  {
+    auto caller = std::make_unique<std::vector<std::uint8_t>>(stream);
+    h.sender->send_stream(*caller);
+    std::fill(caller->begin(), caller->end(), std::uint8_t{0xA5});
+  }
+  h.sim.run();
+
+  ASSERT_TRUE(h.sender->all_acked());
+  EXPECT_GT(h.sender->stats().retransmissions, 0u);
+  EXPECT_TRUE(h.receiver->stream_complete(stream.size() / 4));
+  EXPECT_TRUE(std::equal(stream.begin(), stream.end(),
+                         h.receiver->app_data().begin()));
+}
+
 TEST(GatherTx, MaterializingFallbackCountsEveryPayloadByte) {
   LinkConfig cfg;
   cfg.mtu = 1500;
