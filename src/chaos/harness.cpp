@@ -196,20 +196,22 @@ ChaosResult run_chaos(const ChaosScenario& sc, ChaosCapture* capture) {
   // Sharded connection table (4 shards here: enough to spread the
   // connection ids across shards every run without dwarfing the small
   // connection counts). Churn runs additionally get the timer wheel so
-  // remembered refusals age out on their TTL mid-run.
+  // remembered refusals age out on their TTL mid-run; other runs never
+  // refuse a ConnectionOpen, so the simulator is only their clock.
   const std::uint32_t churn_n = sc.churn_connections;
   const SimTime churn_step =
       sc.churn_interval > 0 ? sc.churn_interval : kMillisecond;
   SimTimerWheel wheel(sim);
   DemuxConfig dcfg;
   dcfg.shards = 4;
+  dcfg.timers = &sim;
   if (churn_n > 0) {
     dcfg.timers = &wheel;
     dcfg.refused_ttl =
         std::max<SimTime>(40 * churn_step, 100 * kMillisecond);
   }
   ChunkDemultiplexer demux(dcfg);
-  demux.set_obs(&obs, &sim);
+  demux.set_obs(&obs);
 
   // Churn connections are opened through the SIGNAL path (a real
   // ConnectionOpen chunk through the demultiplexer), so they exercise
@@ -529,7 +531,7 @@ ChaosResult run_chaos(const ChaosScenario& sc, ChaosCapture* capture) {
     sum_dropped_bytes += rs.dropped_unplaced_bytes;
     sum_dups += rs.duplicate_chunks;
     sum_gave_up += c.sender->stats().gave_up;
-    sum_rto_backoffs += c.sender->stats().rto_backoffs;
+    sum_rto_backoffs += c.sender->rto().stats().backoffs;
     res.tpdus_accepted += rs.tpdus_accepted;
     res.tpdus_rejected += rs.tpdus_rejected;
     res.data_chunks += rs.data_chunks;

@@ -1,7 +1,6 @@
 #include "src/chaos/scenario.hpp"
 
 #include <cctype>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -253,83 +252,112 @@ ChaosScenario make_scenario(std::uint64_t seed) {
 
 namespace {
 
-void put(std::ostringstream& os, const char* key, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  os << key << " = " << buf << "\n";
-}
-template <typename T,
-          typename = std::enable_if_t<std::is_integral_v<T>>>
-void put(std::ostringstream& os, const char* key, T v) {
-  os << key << " = " << static_cast<std::uint64_t>(v) << "\n";
+/// Every scenario key, each named once and in text order: to_text
+/// writes through these walks and parse_scenario_text reads through
+/// them. `S` and `H` may be const. The last key, "hops", carries the
+/// hop vector.
+template <typename H, typename F>
+void for_each_hop_field(H& h, F&& f) {
+  f("rate_bps", h.rate_bps);
+  f("prop_delay", h.prop_delay);
+  f("mtu", h.mtu);
+  f("loss_rate", h.loss_rate);
+  f("dup_rate", h.dup_rate);
+  f("jitter", h.jitter);
+  f("lanes", h.lanes);
+  f("lane_skew", h.lane_skew);
+  f("route_flap_interval", h.route_flap_interval);
+  f("relay", h.relay);
+  f("rewrite_rate", h.rewrite_rate);
+  f("rewrite_field", h.rewrite_field);
 }
 
-}  // namespace
+template <typename S, typename F>
+void for_each_field(S& sc, F&& f) {
+  f("seed", sc.seed);
+  f("stream_elements", sc.stream_elements);
+  f("element_size", sc.element_size);
+  f("tpdu_elements", sc.tpdu_elements);
+  f("xpdu_elements", sc.xpdu_elements);
+  f("max_chunk_elements", sc.max_chunk_elements);
+  f("first_conn_sn", sc.first_conn_sn);
+  f("max_retransmits", sc.max_retransmits);
+  f("retransmit_timeout", sc.retransmit_timeout);
+  f("adaptive_rto", sc.adaptive_rto);
+  f("selective_retransmit", sc.selective_retransmit);
+  f("mode", sc.mode);
+  f("max_held_bytes", sc.max_held_bytes);
+  f("max_open_tpdus", sc.max_open_tpdus);
+  f("gap_nak_delay", sc.gap_nak_delay);
+  f("max_gap_naks", sc.max_gap_naks);
+  f("fault_mean_loss", sc.fault_mean_loss);
+  f("fault_mean_burst", sc.fault_mean_burst);
+  f("payload_flip_rate", sc.payload_flip_rate);
+  f("header_flip_rate", sc.header_flip_rate);
+  f("blackout_interval", sc.blackout_interval);
+  f("blackout_duration", sc.blackout_duration);
+  f("ack_loss_rate", sc.ack_loss_rate);
+  f("connections", sc.connections);
+  f("offered_load", sc.offered_load);
+  f("governor_budget", sc.governor_budget);
+  f("governor_policy", sc.governor_policy);
+  f("flow_control", sc.flow_control);
+  f("churn_connections", sc.churn_connections);
+  f("churn_interval", sc.churn_interval);
+  f("mp_paths", sc.mp_paths);
+  f("mp_mode", sc.mp_mode);
+  f("mp_skew", sc.mp_skew);
+  f("mp_loss", sc.mp_loss);
+  f("mp_kill_at", sc.mp_kill_at);
+  f("mp_revive_at", sc.mp_revive_at);
+  f("mp_kill_path", sc.mp_kill_path);
+  f("watchdog", sc.watchdog);
+  f("hops", sc.hops);
+}
 
-std::string to_text(const ChaosScenario& sc) {
-  std::ostringstream os;
-  os << "# chunknet chaos scenario (replay: chaos_soak --replay-file <this>)\n";
-  put(os, "seed", sc.seed);
-  put(os, "stream_elements", sc.stream_elements);
-  put(os, "element_size", sc.element_size);
-  put(os, "tpdu_elements", sc.tpdu_elements);
-  put(os, "xpdu_elements", sc.xpdu_elements);
-  put(os, "max_chunk_elements", sc.max_chunk_elements);
-  put(os, "first_conn_sn", sc.first_conn_sn);
-  put(os, "max_retransmits", static_cast<std::uint64_t>(sc.max_retransmits));
-  put(os, "retransmit_timeout", sc.retransmit_timeout);
-  put(os, "adaptive_rto", static_cast<std::uint64_t>(sc.adaptive_rto));
-  put(os, "selective_retransmit",
-      static_cast<std::uint64_t>(sc.selective_retransmit));
-  put(os, "mode", static_cast<std::uint64_t>(sc.mode));
-  put(os, "max_held_bytes", sc.max_held_bytes);
-  put(os, "max_open_tpdus", sc.max_open_tpdus);
-  put(os, "gap_nak_delay", sc.gap_nak_delay);
-  put(os, "max_gap_naks", static_cast<std::uint64_t>(sc.max_gap_naks));
-  put(os, "fault_mean_loss", sc.fault_mean_loss);
-  put(os, "fault_mean_burst", sc.fault_mean_burst);
-  put(os, "payload_flip_rate", sc.payload_flip_rate);
-  put(os, "header_flip_rate", sc.header_flip_rate);
-  put(os, "blackout_interval", sc.blackout_interval);
-  put(os, "blackout_duration", sc.blackout_duration);
-  put(os, "ack_loss_rate", sc.ack_loss_rate);
-  put(os, "connections", sc.connections);
-  put(os, "offered_load", sc.offered_load);
-  put(os, "governor_budget", sc.governor_budget);
-  put(os, "governor_policy", sc.governor_policy);
-  put(os, "flow_control", static_cast<std::uint64_t>(sc.flow_control));
-  put(os, "churn_connections", sc.churn_connections);
-  put(os, "churn_interval", sc.churn_interval);
-  put(os, "mp_paths", sc.mp_paths);
-  put(os, "mp_mode", sc.mp_mode);
-  put(os, "mp_skew", sc.mp_skew);
-  put(os, "mp_loss", sc.mp_loss);
-  put(os, "mp_kill_at", sc.mp_kill_at);
-  put(os, "mp_revive_at", sc.mp_revive_at);
-  put(os, "mp_kill_path", sc.mp_kill_path);
-  put(os, "watchdog", sc.watchdog);
-  put(os, "hops", sc.hops.size());
-  for (std::size_t i = 0; i < sc.hops.size(); ++i) {
-    const ChaosHop& h = sc.hops[i];
-    const std::string p = "hop" + std::to_string(i) + ".";
-    put(os, (p + "rate_bps").c_str(), h.rate_bps);
-    put(os, (p + "prop_delay").c_str(), h.prop_delay);
-    put(os, (p + "mtu").c_str(), h.mtu);
-    put(os, (p + "loss_rate").c_str(), h.loss_rate);
-    put(os, (p + "dup_rate").c_str(), h.dup_rate);
-    put(os, (p + "jitter").c_str(), h.jitter);
-    put(os, (p + "lanes").c_str(), static_cast<std::uint64_t>(h.lanes));
-    put(os, (p + "lane_skew").c_str(), h.lane_skew);
-    put(os, (p + "route_flap_interval").c_str(), h.route_flap_interval);
-    put(os, (p + "relay").c_str(), static_cast<std::uint64_t>(h.relay));
-    put(os, (p + "rewrite_rate").c_str(), h.rewrite_rate);
-    put(os, (p + "rewrite_field").c_str(),
-        static_cast<std::uint64_t>(h.rewrite_field));
+constexpr char kHopPrefix[] = "hop";
+
+/// Doubles print round-trippably; integers, bools and enums print as
+/// their unsigned 64-bit value.
+template <typename T>
+void put(std::ostringstream& os, const std::string& key, const T& v) {
+  os << key << " = ";
+  if constexpr (std::is_floating_point_v<T>) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    os << buf;
+  } else {
+    os << static_cast<std::uint64_t>(v);
   }
-  return os.str();
+  os << "\n";
 }
 
-namespace {
+/// The hop list prints as its count, then each hop's keys as
+/// hopN.<key>.
+void put(std::ostringstream& os, const std::string& key,
+         const std::vector<ChaosHop>& hops) {
+  put(os, key, hops.size());
+  for (std::size_t i = 0; i < hops.size(); ++i) {
+    const std::string p = kHopPrefix + std::to_string(i) + ".";
+    for_each_hop_field(hops[i], [&](const char* hkey, const auto& v) {
+      put(os, p + hkey, v);
+    });
+  }
+}
+
+/// Stores a strtod-parsed value: bools are `!= 0`, the rest a cast; the
+/// hop list resizes to the count.
+template <typename T>
+void assign(T& field, double num) {
+  if constexpr (std::is_same_v<T, bool>) {
+    field = num != 0;
+  } else {
+    field = static_cast<T>(num);
+  }
+}
+void assign(std::vector<ChaosHop>& hops, double num) {
+  hops.resize(static_cast<std::size_t>(num));
+}
 
 std::string trim(const std::string& s) {
   std::size_t a = 0, b = s.size();
@@ -338,26 +366,14 @@ std::string trim(const std::string& s) {
   return s.substr(a, b - a);
 }
 
-bool apply_hop_key(ChaosHop& h, const std::string& key, double num) {
-  if (key == "rate_bps") h.rate_bps = num;
-  else if (key == "prop_delay") h.prop_delay = static_cast<SimTime>(num);
-  else if (key == "mtu") h.mtu = static_cast<std::size_t>(num);
-  else if (key == "loss_rate") h.loss_rate = num;
-  else if (key == "dup_rate") h.dup_rate = num;
-  else if (key == "jitter") h.jitter = static_cast<SimTime>(num);
-  else if (key == "lanes") h.lanes = static_cast<int>(num);
-  else if (key == "lane_skew") h.lane_skew = static_cast<SimTime>(num);
-  else if (key == "route_flap_interval")
-    h.route_flap_interval = static_cast<SimTime>(num);
-  else if (key == "relay") h.relay = static_cast<ChaosRelayKind>(num);
-  else if (key == "rewrite_rate") h.rewrite_rate = num;
-  else if (key == "rewrite_field")
-    h.rewrite_field = static_cast<ChunkField>(num);
-  else return false;
-  return true;
-}
-
 }  // namespace
+
+std::string to_text(const ChaosScenario& sc) {
+  std::ostringstream os;
+  os << "# chunknet chaos scenario (replay: chaos_soak --replay-file <this>)\n";
+  for_each_field(sc, [&](const char* key, const auto& v) { put(os, key, v); });
+  return os.str();
+}
 
 std::optional<ChaosScenario> parse_scenario_text(const std::string& text) {
   ChaosScenario sc;
@@ -374,87 +390,31 @@ std::optional<ChaosScenario> parse_scenario_text(const std::string& text) {
     const double num = std::strtod(val.c_str(), &end);
     if (end == val.c_str()) return std::nullopt;
 
-    // "hops" (the count) also starts with "hop": route it to the
-    // scalar table below, not the per-hop parser.
-    if (key.rfind("hop", 0) == 0 && key != "hops") {
+    // Sets the field a walk names `want`. The seed is a full 64-bit
+    // value: it is parsed as an integer (a double round-trip would lose
+    // bits above 2^53 and replay a different run).
+    bool known = false;
+    const auto set_named = [&](const std::string& want) {
+      return [&, want](const char* name, auto& field) {
+        if (known || want != name) return;
+        known = true;
+        if (&field == static_cast<void*>(&sc.seed)) {
+          sc.seed = std::strtoull(val.c_str(), nullptr, 10);
+        } else {
+          assign(field, num);
+        }
+      };
+    };
+    for_each_field(sc, set_named(key));
+    if (!known && key.rfind(kHopPrefix, 0) == 0) {
       const std::size_t dot = key.find('.');
       if (dot == std::string::npos) return std::nullopt;
-      const std::size_t idx =
-          static_cast<std::size_t>(std::atoi(key.c_str() + 3));
+      const std::size_t idx = static_cast<std::size_t>(
+          std::atoi(key.c_str() + std::strlen(kHopPrefix)));
       if (idx >= sc.hops.size()) sc.hops.resize(idx + 1);
-      if (!apply_hop_key(sc.hops[idx], key.substr(dot + 1), num)) {
-        return std::nullopt;
-      }
-      continue;
+      for_each_hop_field(sc.hops[idx], set_named(key.substr(dot + 1)));
     }
-    // The seed is a full 64-bit value: parse it as an integer (a double
-    // round-trip would lose bits above 2^53 and replay a different run).
-    if (key == "seed") sc.seed = std::strtoull(val.c_str(), nullptr, 10);
-    else if (key == "stream_elements")
-      sc.stream_elements = static_cast<std::uint32_t>(num);
-    else if (key == "element_size")
-      sc.element_size = static_cast<std::uint16_t>(num);
-    else if (key == "tpdu_elements")
-      sc.tpdu_elements = static_cast<std::uint32_t>(num);
-    else if (key == "xpdu_elements")
-      sc.xpdu_elements = static_cast<std::uint32_t>(num);
-    else if (key == "max_chunk_elements")
-      sc.max_chunk_elements = static_cast<std::uint16_t>(num);
-    else if (key == "first_conn_sn")
-      sc.first_conn_sn = static_cast<std::uint32_t>(num);
-    else if (key == "max_retransmits")
-      sc.max_retransmits = static_cast<int>(num);
-    else if (key == "retransmit_timeout")
-      sc.retransmit_timeout = static_cast<SimTime>(num);
-    else if (key == "adaptive_rto") sc.adaptive_rto = num != 0;
-    else if (key == "selective_retransmit")
-      sc.selective_retransmit = num != 0;
-    else if (key == "mode") sc.mode = static_cast<DeliveryMode>(num);
-    else if (key == "max_held_bytes")
-      sc.max_held_bytes = static_cast<std::size_t>(num);
-    else if (key == "max_open_tpdus")
-      sc.max_open_tpdus = static_cast<std::size_t>(num);
-    else if (key == "gap_nak_delay")
-      sc.gap_nak_delay = static_cast<SimTime>(num);
-    else if (key == "max_gap_naks") sc.max_gap_naks = static_cast<int>(num);
-    else if (key == "fault_mean_loss") sc.fault_mean_loss = num;
-    else if (key == "fault_mean_burst") sc.fault_mean_burst = num;
-    else if (key == "payload_flip_rate") sc.payload_flip_rate = num;
-    else if (key == "header_flip_rate") sc.header_flip_rate = num;
-    else if (key == "blackout_interval")
-      sc.blackout_interval = static_cast<SimTime>(num);
-    else if (key == "blackout_duration")
-      sc.blackout_duration = static_cast<SimTime>(num);
-    else if (key == "ack_loss_rate") sc.ack_loss_rate = num;
-    else if (key == "connections")
-      sc.connections = static_cast<std::uint32_t>(num);
-    else if (key == "offered_load") sc.offered_load = num;
-    else if (key == "governor_budget")
-      sc.governor_budget = static_cast<std::size_t>(num);
-    else if (key == "governor_policy")
-      sc.governor_policy = static_cast<std::uint8_t>(num);
-    else if (key == "flow_control") sc.flow_control = num != 0;
-    else if (key == "churn_connections")
-      sc.churn_connections = static_cast<std::uint32_t>(num);
-    else if (key == "churn_interval")
-      sc.churn_interval = static_cast<SimTime>(num);
-    else if (key == "mp_paths")
-      sc.mp_paths = static_cast<std::uint32_t>(num);
-    else if (key == "mp_mode") sc.mp_mode = static_cast<std::uint8_t>(num);
-    else if (key == "mp_skew") sc.mp_skew = static_cast<SimTime>(num);
-    else if (key == "mp_loss") sc.mp_loss = num;
-    else if (key == "mp_kill_at")
-      sc.mp_kill_at = static_cast<SimTime>(num);
-    else if (key == "mp_revive_at")
-      sc.mp_revive_at = static_cast<SimTime>(num);
-    else if (key == "mp_kill_path")
-      sc.mp_kill_path = static_cast<std::uint32_t>(num);
-    else if (key == "watchdog") sc.watchdog = static_cast<SimTime>(num);
-    else if (key == "hops") {
-      sc.hops.resize(static_cast<std::size_t>(num));
-    } else {
-      return std::nullopt;  // unknown key: a repro must mean what it says
-    }
+    if (!known) return std::nullopt;  // a repro must mean what it says
   }
   if (sc.hops.empty()) sc.hops.push_back(ChaosHop{});
   return sc;

@@ -97,20 +97,22 @@ void IngressGuard::credit(const UdpAddress& peer, std::uint64_t bytes) {
 }
 
 void IngressGuard::remember_refusal(std::uint32_t conn, SimTime now) {
-  if (refused_.size() >= cfg_.max_refused && refused_.find(conn) == nullptr) {
-    // Bounded memory: evict the entry closest to expiry.
-    std::uint32_t victim = 0;
-    SimTime best = ~SimTime{0};
-    for (const auto& e : refused_) {
-      if (e.value.expires_at < best) {
-        best = e.value.expires_at;
-        victim = e.key;
-      }
-    }
-    refused_.erase(victim);
+  if (refused_.size() >= cfg_.max_refused && refused_.find(conn) == nullptr &&
+      !refused_order_.empty()) {
+    // Bounded memory: forget the least recently remembered entry, the
+    // one closest to expiry.
+    const std::int32_t oldest = refused_order_.front();
+    refused_.erase(refused_order_.value(oldest));
+    refused_order_.remove(oldest);
     ++stats_.refusals_evicted;
   }
-  refused_.insert_or_assign(conn, RefusedEntry{now + cfg_.refused_ttl});
+  const auto [e, inserted] = refused_.try_emplace(conn);
+  e->expires_at = now + cfg_.refused_ttl;
+  if (inserted) {
+    e->node = refused_order_.push_back(conn);
+  } else {
+    refused_order_.touch(e->node);
+  }
   ++stats_.refusals_remembered;
 }
 

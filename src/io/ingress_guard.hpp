@@ -38,6 +38,7 @@
 
 #include "src/chunk/codec.hpp"
 #include "src/common/flat_map.hpp"
+#include "src/common/pick_queue.hpp"
 #include "src/io/udp_endpoint.hpp"
 #include "src/obs/obs.hpp"
 
@@ -84,7 +85,8 @@ class IngressGuard {
   /// Remembers that the transport refused connection `conn` (unknown /
   /// evicted C.ID): future datagrams carrying only that C.ID are
   /// dropped at the door until the TTL lapses. Bounded: when full, the
-  /// stalest entry is evicted.
+  /// least recently remembered entry, the one closest to expiry, is
+  /// evicted in O(1).
   void remember_refusal(std::uint32_t conn, SimTime now);
   bool is_refused(std::uint32_t conn, SimTime now) const;
 
@@ -111,7 +113,8 @@ class IngressGuard {
     std::uint64_t allowance{0};  ///< credited wire bytes not yet spent
   };
   struct RefusedEntry {
-    SimTime expires_at;
+    SimTime expires_at{0};
+    std::int32_t node{PickQueue::kNil};  ///< position in refused_order_
   };
 
   bool take_token(Bucket& b, SimTime now);
@@ -120,6 +123,9 @@ class IngressGuard {
   FlatMap<std::uint64_t, Bucket> buckets_;
   Bucket overflow_{};
   FlatMap<std::uint32_t, RefusedEntry> refused_;
+  /// Refused C.IDs in remember order. The TTL is fixed, so the front
+  /// is also the entry that expires first: the eviction victim.
+  PickQueue refused_order_;
   Stats stats_;
   struct {
     Counter* accepted{nullptr};

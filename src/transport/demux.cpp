@@ -20,7 +20,7 @@ std::uint32_t round_up_pow2(std::uint32_t v) {
 }  // namespace
 
 ChunkDemultiplexer::ChunkDemultiplexer(DemuxConfig cfg)
-    : cfg_(std::move(cfg)), clock_(cfg_.timers) {
+    : cfg_(std::move(cfg)) {
   const std::uint32_t n = round_up_pow2(cfg_.shards == 0 ? 1 : cfg_.shards);
   int bits = 0;
   while ((1u << bits) < n) ++bits;
@@ -53,12 +53,11 @@ std::uint32_t ChunkDemultiplexer::lease_id(const Shard& sh) const {
 }
 
 SimTime ChunkDemultiplexer::now() const {
-  return clock_ != nullptr ? clock_->now() : 0;
+  return cfg_.timers != nullptr ? cfg_.timers->now() : 0;
 }
 
-void ChunkDemultiplexer::set_obs(ObsContext* obs, const Clock* clock) {
+void ChunkDemultiplexer::set_obs(ObsContext* obs) {
   obs_ = obs;
-  if (cfg_.timers == nullptr) clock_ = clock;
   if (obs_ != nullptr && obs_->metrics != nullptr) {
     MetricsRegistry& m = *obs_->metrics;
     for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -82,21 +81,18 @@ void ChunkDemultiplexer::span(SpanEventKind kind,
   obs_->spans->record(e);
 }
 
-const ChunkDemultiplexer::Stats& ChunkDemultiplexer::stats() const {
-  agg_ = Stats{};
-  agg_.packets = packets_;
-  agg_.malformed = malformed_;
-  agg_.control_chunks_routed = control_chunks_routed_;
+ChunkDemultiplexer::Stats ChunkDemultiplexer::stats() const {
+  Stats agg = packet_stats_;
   for (const Shard& sh : shards_) {
-    agg_.data_chunks_routed += sh.stats.data_chunks_routed;
-    agg_.unknown_connection += sh.stats.unknown_connection;
-    agg_.connections_admitted += sh.stats.connections_admitted;
-    agg_.connections_refused += sh.stats.connections_refused;
-    agg_.refused_expired += sh.stats.refused_expired;
-    agg_.idle_evicted += sh.stats.idle_evicted;
-    agg_.lease_acquires += sh.stats.lease_acquires;
+    agg.data_chunks_routed += sh.stats.data_chunks_routed;
+    agg.unknown_connection += sh.stats.unknown_connection;
+    agg.connections_admitted += sh.stats.connections_admitted;
+    agg.connections_refused += sh.stats.connections_refused;
+    agg.refused_expired += sh.stats.refused_expired;
+    agg.idle_evicted += sh.stats.idle_evicted;
+    agg.lease_acquires += sh.stats.lease_acquires;
   }
-  return agg_;
+  return agg;
 }
 
 std::size_t ChunkDemultiplexer::flows() const {
@@ -359,14 +355,14 @@ void ChunkDemultiplexer::handle_connection_open(const ChunkView& v) {
 // ------------------------------------------------------------ data path
 
 void ChunkDemultiplexer::on_packet(SimPacket pkt) {
-  ++packets_;
+  ++packet_stats_.packets;
   // The envelope is opened ONCE, into views over pkt.bytes: routing a
   // data/ED chunk to its receiver copies nothing — the receiver's
   // zero-copy entry point reads the payload straight from the packet
   // buffer. Only control chunks (re-wrapped for the PacketSink
   // interface) are materialized.
   if (!decode_packet_views(pkt.bytes, view_scratch_)) {
-    ++malformed_;
+    ++packet_stats_.malformed;
     return;
   }
   const bool track_idle = cfg_.idle_timeout > 0 && cfg_.timers != nullptr;
@@ -402,7 +398,7 @@ void ChunkDemultiplexer::on_packet(SimPacket pkt) {
           handle_connection_open(v);
         }
         if (control_ == nullptr) break;
-        ++control_chunks_routed_;
+        ++packet_stats_.control_chunks_routed;
         SimPacket wrapped;
         encode_packet_into(std::span<const ChunkView>(&v, 1), 65535,
                            wrapped.bytes);

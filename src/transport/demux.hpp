@@ -111,9 +111,9 @@ class ChunkDemultiplexer final : public PacketSink {
   }
 
   /// Observability (optional): connection-admission span events are
-  /// recorded against `clock` (cfg.timers when set takes precedence),
-  /// and per-shard routing counters are published to the registry.
-  void set_obs(ObsContext* obs, const Clock* clock);
+  /// recorded against cfg.timers (time 0 without one), and per-shard
+  /// routing counters are published to the registry.
+  void set_obs(ObsContext* obs);
 
   /// Programmatic admission (benches / topology builders): reserves
   /// governor headroom for `connection_id` without a ConnectionOpen
@@ -135,7 +135,7 @@ class ChunkDemultiplexer final : public PacketSink {
     std::uint64_t lease_acquires{0};   ///< governor round-trips for admission
   };
   /// Aggregated over shards (packet-level fields are demux-global).
-  const Stats& stats() const;
+  Stats stats() const;
 
   std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(shards_.size());
@@ -210,15 +210,11 @@ class ChunkDemultiplexer final : public PacketSink {
   int shard_shift_{32};
   PacketSink* control_{nullptr};
   ObsContext* obs_{nullptr};
-  const Clock* clock_;  ///< cfg.timers if set, else set_obs's clock
   DemuxAdmissionConfig admission_;
   /// Reused across packets (no per-packet allocation at steady state).
   std::vector<ChunkView> view_scratch_;
-  /// Packet-level counters (a packet may span shards).
-  std::uint64_t packets_{0};
-  std::uint64_t malformed_{0};
-  std::uint64_t control_chunks_routed_{0};
-  mutable Stats agg_;  ///< stats() aggregation scratch
+  /// The packet-level fields of stats() (a packet may span shards).
+  Stats packet_stats_;
 };
 
 }  // namespace chunknet

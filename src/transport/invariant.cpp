@@ -55,13 +55,15 @@ bool TpduInvariant::absorb(const ChunkHeader& h,
 }
 
 bool SnConsistencyChecker::check(const ChunkHeader& h) {
-  if (h.type != ChunkType::kData) return consistent_;
+  const bool ed = h.type == ChunkType::kErrorDetection;
+  if (h.type != ChunkType::kData && !ed) return consistent_;
   const std::uint32_t dct = h.conn.sn - h.tpdu.sn;
   if (!delta_ct_) {
     delta_ct_ = dct;
   } else if (*delta_ct_ != dct) {
     consistent_ = false;
   }
+  if (ed) return consistent_;
   const std::uint32_t dcx = h.conn.sn - h.xpdu.sn;
   const auto [it, inserted] = delta_cx_by_xid_.emplace(h.xpdu.id, dcx);
   if (!inserted && it->second != dcx) consistent_ = false;

@@ -85,11 +85,15 @@ class TpduInvariant {
 /// (C.SN − T.SN) must be constant across all chunks of a TPDU, and
 /// (C.SN − X.SN) constant across all chunks of an external PDU within
 /// it. Both differences are preserved by fragmentation (all SNs shift
-/// together), so any divergence is corruption.
+/// together), so any divergence is corruption. The TPDU's ED chunk
+/// carries its starting C.SN with T.SN 0, so it takes part in the
+/// (C.SN − T.SN) check too: a one-chunk TPDU has nothing else to
+/// compare with. Its X fields are unused and not checked.
 class SnConsistencyChecker {
  public:
-  /// Feeds one data chunk; returns false on an inconsistency. Only the
-  /// header participates, so a ChunkView's header works identically.
+  /// Feeds one data or ED chunk; returns false on an inconsistency.
+  /// Only the header participates, so a ChunkView's header works
+  /// identically.
   bool check(const ChunkHeader& h);
   bool check(const Chunk& c) { return check(c.h); }
   bool check(const ChunkView& c) { return check(c.h); }

@@ -85,7 +85,6 @@ std::uint64_t ChunkTransportReceiver::shed_held() {
     case DeliveryMode::kImmediate:
       return 0;  // holds nothing — the paper's point
     case DeliveryMode::kReorder:
-      if (reorder_queue_.empty()) return 0;
       flush_reorder_queue();
       break;
     case DeliveryMode::kReassemble:
@@ -252,6 +251,17 @@ void ChunkTransportReceiver::drop_unplaced(std::size_t payload_bytes,
   obs_add(m_.dropped_unplaced_bytes, payload_bytes);
 }
 
+ChunkTransportReceiver::TpduState& ChunkTransportReceiver::open_tpdu(
+    std::uint32_t tpdu_id) {
+  if (cfg_.max_open_tpdus > 0 && tpdus_.size() >= cfg_.max_open_tpdus &&
+      tpdus_.find(tpdu_id) == nullptr) {
+    evict_for_open_cap();
+  }
+  const auto [st, inserted] = tpdus_.try_emplace(tpdu_id);
+  if (inserted) st->order_node = active_.push_back(tpdu_id);
+  return *st;
+}
+
 void ChunkTransportReceiver::handle_data_chunk(const ChunkView& v,
                                                SimTime packet_created_at,
                                                std::uint64_t packet_id) {
@@ -264,13 +274,7 @@ void ChunkTransportReceiver::handle_data_chunk(const ChunkView& v,
     return;
   }
 
-  if (cfg_.max_open_tpdus > 0 && tpdus_.size() >= cfg_.max_open_tpdus &&
-      tpdus_.find(v.h.tpdu.id) == nullptr) {
-    evict_for_open_cap();
-  }
-  const auto [stp, inserted] = tpdus_.try_emplace(v.h.tpdu.id);
-  TpduState& st = *stp;
-  if (inserted) st.order_node = active_.push_back(v.h.tpdu.id);
+  TpduState& st = open_tpdu(v.h.tpdu.id);
   if (st.elements == 0 && st.first_chunk_at == 0) {
     st.first_chunk_at = clock_.now();
     span(SpanEventKind::kTpduFirstChunk, v.h.tpdu.id);
@@ -373,18 +377,11 @@ void ChunkTransportReceiver::handle_data_chunk(const ChunkView& v,
         // superseded copy is dropped unplaced — and its bytes un-held —
         // so both hold accounting and the conservation balance close.
         trace_chunk(TraceEventKind::kChunkHeld, v.h, packet_id);
-        if (HeldChunk* hc = reorder_queue_.find(off)) {
-          drop_unplaced(hc->chunk.payload.size(), /*was_held=*/true);
-          *hc = HeldChunk{v.to_chunk(), packet_created_at, packet_id};
-          hold_bytes(hc->chunk.payload.size());
-        } else {
-          const auto [ins, _] = reorder_queue_.insert_or_assign(
-              off, HeldChunk{v.to_chunk(), packet_created_at, packet_id});
-          hold_bytes(ins->chunk.payload.size());
-          reorder_heap_.push_back(off);
-          std::push_heap(reorder_heap_.begin(), reorder_heap_.end(),
-                         std::greater<>{});
-        }
+        const auto [it, inserted] = reorder_queue_.try_emplace(off);
+        HeldChunk& hc = it->second;
+        if (!inserted) drop_unplaced(hc.chunk.payload.size(), /*was_held=*/true);
+        hc = HeldChunk{v.to_chunk(), packet_created_at, packet_id};
+        hold_bytes(hc.chunk.payload.size());
       }
       break;
     }
@@ -439,42 +436,29 @@ void ChunkTransportReceiver::handle_data_chunk(const ChunkView& v,
   if (TpduState* fst = tpdus_.find(tpdu_id)) try_finish(tpdu_id, *fst);
 }
 
-void ChunkTransportReceiver::prune_reorder_heap() {
-  while (!reorder_heap_.empty() &&
-         reorder_queue_.find(reorder_heap_.front()) == nullptr) {
-    std::pop_heap(reorder_heap_.begin(), reorder_heap_.end(),
-                  std::greater<>{});
-    reorder_heap_.pop_back();
-  }
-}
-
 void ChunkTransportReceiver::release_in_order() {
-  // The queue's flat table is unordered; the min-heap supplies offset
-  // order. Offsets erased behind the heap's back (abort purges, full
-  // flushes) surface as stale heap tops and are skipped by the prune.
-  for (prune_reorder_heap(); !reorder_heap_.empty(); prune_reorder_heap()) {
-    const std::uint64_t off = reorder_heap_.front();
-    HeldChunk* hc = reorder_queue_.find(off);
-    const std::uint64_t end = off + hc->chunk.h.len;
+  while (!reorder_queue_.empty()) {
+    const auto& [off, hc] = *reorder_queue_.begin();
+    const std::uint64_t end = off + hc.chunk.h.len;
     if (end <= next_release_off_) {
       // Fully covered by data already placed: a larger retransmitted
       // chunk (or a direct re-placement) advanced the release point
       // past this entry, e.g. a GapNak slice queued alongside the
       // original. Without this branch the entry sits below the release
       // point forever — a held-state leak.
-      drop_unplaced(hc->chunk.payload.size(), /*was_held=*/true);
-      reorder_queue_.erase(off);
-      continue;
+      drop_unplaced(hc.chunk.payload.size(), /*was_held=*/true);
+    } else if (off > next_release_off_) {
+      break;
+    } else {
+      // off ≤ next_release_off_ < end: due (a partial overlap re-writes
+      // the already-placed prefix with identical bytes — placement is
+      // position-keyed).
+      unhold_bytes(hc.chunk.payload.size());
+      place_chunk(hc.chunk.h, hc.chunk.payload, hc.packet_created_at,
+                  /*was_held=*/true, hc.packet_id);
+      next_release_off_ = end;
     }
-    if (off > next_release_off_) break;
-    // off ≤ next_release_off_ < end: due (a partial overlap re-writes
-    // the already-placed prefix with identical bytes — placement is
-    // position-keyed).
-    unhold_bytes(hc->chunk.payload.size());
-    place_chunk(hc->chunk.h, hc->chunk.payload, hc->packet_created_at,
-                /*was_held=*/true, hc->packet_id);
-    next_release_off_ = end;
-    reorder_queue_.erase(off);
+    reorder_queue_.erase(reorder_queue_.begin());
   }
 }
 
@@ -517,13 +501,7 @@ void ChunkTransportReceiver::place_chunk(
 void ChunkTransportReceiver::handle_ed_chunk(const ChunkView& v) {
   ++stats_.ed_chunks;
   obs_add(m_.ed_chunks);
-  if (cfg_.max_open_tpdus > 0 && tpdus_.size() >= cfg_.max_open_tpdus &&
-      tpdus_.find(v.h.tpdu.id) == nullptr) {
-    evict_for_open_cap();
-  }
-  const auto [stp, inserted] = tpdus_.try_emplace(v.h.tpdu.id);
-  TpduState& st = *stp;
-  if (inserted) st.order_node = active_.push_back(v.h.tpdu.id);
+  TpduState& st = open_tpdu(v.h.tpdu.id);
   if (st.finished) {
     // Finished tombstones exist only for ACCEPTED TPDUs (rejected state
     // is erased). A re-arriving ED chunk means our positive ACK was
@@ -546,6 +524,7 @@ void ChunkTransportReceiver::handle_ed_chunk(const ChunkView& v) {
     span(SpanEventKind::kTpduFirstChunk, v.h.tpdu.id);
   }
   st.received_code = parse_ed_chunk(v);
+  st.consistency.check(v);
   arm_gap_nak_timer(v.h.tpdu.id, st);
   try_finish(v.h.tpdu.id, st);
 }
@@ -679,10 +658,7 @@ void ChunkTransportReceiver::fire_gap_nak(std::uint32_t tpdu_id) {
 }
 
 void ChunkTransportReceiver::flush_reorder_queue() {
-  // Placement is position-keyed, so the flat table's unordered walk is
-  // fine here: every queued chunk force-places to its own offset.
-  for (auto& e : reorder_queue_) {
-    HeldChunk& hc = e.value;
+  for (const auto& [off, hc] : reorder_queue_) {
     unhold_bytes(hc.chunk.payload.size());
     ++stats_.held_chunks_evicted;
     stats_.held_bytes_evicted += hc.chunk.payload.size();
@@ -691,11 +667,9 @@ void ChunkTransportReceiver::flush_reorder_queue() {
     trace_chunk(TraceEventKind::kChunkEvicted, hc.chunk.h, hc.packet_id, 1);
     place_chunk(hc.chunk.h, hc.chunk.payload, hc.packet_created_at,
                 /*was_held=*/true, hc.packet_id);
-    next_release_off_ =
-        std::max(next_release_off_, e.key + hc.chunk.h.len);
+    next_release_off_ = std::max(next_release_off_, off + hc.chunk.h.len);
   }
   reorder_queue_.clear();
-  reorder_heap_.clear();
 }
 
 std::optional<std::uint32_t> ChunkTransportReceiver::evict_oldest_holder() {
@@ -788,26 +762,16 @@ void ChunkTransportReceiver::abort_tpdu(std::uint32_t tpdu_id) {
   // it would otherwise wait forever (held-state leak). Placement is
   // position-keyed, so releasing past the hole keeps bytes exact — the
   // same ordering-degradation contract as flush_reorder_queue().
-  // Collect first: FlatMap::erase backward-shifts entries, which would
-  // derail an in-place iteration.
-  std::vector<std::uint64_t> purge;
-  for (const auto& e : reorder_queue_) {
-    if (e.value.chunk.h.tpdu.id == tpdu_id) purge.push_back(e.key);
-  }
-  for (const std::uint64_t off : purge) {
-    HeldChunk* hc = reorder_queue_.find(off);
-    drop_unplaced(hc->chunk.payload.size(), /*was_held=*/true);
-    reorder_queue_.erase(off);
-  }
-  prune_reorder_heap();  // the purged offsets may include the heap top
-  if (!reorder_heap_.empty() && next_release_off_ < reorder_heap_.front()) {
-    next_release_off_ = reorder_heap_.front();
+  std::erase_if(reorder_queue_, [&](const auto& e) {
+    if (e.second.chunk.h.tpdu.id != tpdu_id) return false;
+    drop_unplaced(e.second.chunk.payload.size(), /*was_held=*/true);
+    return true;
+  });
+  if (!reorder_queue_.empty() &&
+      next_release_off_ < reorder_queue_.begin()->first) {
+    next_release_off_ = reorder_queue_.begin()->first;
     release_in_order();
   }
-}
-
-std::size_t ChunkTransportReceiver::unfinished_tpdus() const {
-  return active_.size();
 }
 
 std::vector<std::uint32_t> ChunkTransportReceiver::unfinished_tpdu_ids()
@@ -822,8 +786,10 @@ std::vector<std::uint32_t> ChunkTransportReceiver::unfinished_tpdu_ids()
 }
 
 std::size_t ChunkTransportReceiver::state_bytes() const {
-  return tpdus_.memory_bytes() + reorder_queue_.memory_bytes() +
-         reorder_heap_.capacity() * sizeof(std::uint64_t) +
+  // A red-black tree node: the entry plus three links and a colour.
+  constexpr std::size_t kReorderNodeBytes =
+      sizeof(decltype(reorder_queue_)::value_type) + 4 * sizeof(void*);
+  return tpdus_.memory_bytes() + reorder_queue_.size() * kReorderNodeBytes +
          active_.memory_bytes() + tombstones_.memory_bytes() +
          holders_.memory_bytes();
 }

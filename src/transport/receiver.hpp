@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -234,7 +235,7 @@ class ChunkTransportReceiver final : public PacketSink {
 
   /// State-leak probes for post-quiescence checks (chaos oracles).
   std::size_t open_tpdus() const { return tpdus_.size(); }
-  std::size_t unfinished_tpdus() const;
+  std::size_t unfinished_tpdus() const { return active_.size(); }
   std::vector<std::uint32_t> unfinished_tpdu_ids() const;
   std::size_t reorder_queue_chunks() const { return reorder_queue_.size(); }
 
@@ -275,6 +276,9 @@ class ChunkTransportReceiver final : public PacketSink {
   void handle_data_chunk(const ChunkView& v, SimTime packet_created_at,
                          std::uint64_t packet_id);
   void handle_ed_chunk(const ChunkView& v);
+  /// The TPDU's context entry, created (in creation order, after any
+  /// max_open_tpdus eviction) when it does not exist yet.
+  TpduState& open_tpdu(std::uint32_t tpdu_id);
   void arm_gap_nak_timer(std::uint32_t tpdu_id, TpduState& st);
   void fire_gap_nak(std::uint32_t tpdu_id);
   void place_chunk(const ChunkHeader& h,
@@ -299,9 +303,6 @@ class ChunkTransportReceiver final : public PacketSink {
   /// Cancels the TPDU's gap-NAK, unlinks its eviction-queue nodes and
   /// erases its entry. Any TpduState pointers are invalid afterwards.
   void erase_tpdu_entry(std::uint32_t tpdu_id, TpduState& st);
-  /// Drops stale (already-erased) offsets from the top of the reorder
-  /// min-heap so front() is the smallest live queued offset.
-  void prune_reorder_heap();
   void hold_bytes(std::uint64_t n);
   void unhold_bytes(std::uint64_t n);
   /// Governor shed hook: frees one round of holdings (reorder: flush
@@ -375,11 +376,9 @@ class ChunkTransportReceiver final : public PacketSink {
   /// chunk's stream offset — the wrapping 32-bit distance from
   /// first_conn_sn, widened to 64 bits. Ordering in offset space stays
   /// correct when C.SN wraps past 2^32 mid-connection; ordering in raw
-  /// C.SN space does not. The flat map is unordered, so release order
-  /// comes from a lazy-deletion min-heap of offsets: entries erased
-  /// behind the heap's back (aborts) are skipped when they surface.
-  FlatMap<std::uint64_t, HeldChunk> reorder_queue_;
-  std::vector<std::uint64_t> reorder_heap_;
+  /// C.SN space does not. Release takes begin(), the lowest offset: the
+  /// one ordered map is both the store and the release order.
+  std::map<std::uint64_t, HeldChunk> reorder_queue_;
   std::uint64_t next_release_off_{0};
   /// Stream offset of a data chunk: wrapping distance from the
   /// connection's first C.SN.

@@ -277,7 +277,6 @@ void ChunkTransportSender::arm_timer(std::uint32_t tpdu_id) {
       return;
     }
     rto_.on_timeout();
-    ++stats_.rto_backoffs;
     obs_add(m_.rto_backoffs);
     ++stats_.retransmissions;
     obs_add(m_.retransmissions);
@@ -443,13 +442,7 @@ void ChunkTransportSender::handle_feedback(std::span<const ChunkView> views) {
                      it->second.retransmitted);
       // Karn's rule: an ACK for a retransmitted TPDU is ambiguous, so
       // the estimator discarded that sample.
-      if (it->second.retransmitted) {
-        ++stats_.rto_discarded;
-        obs_add(m_.rto_discarded);
-      } else {
-        ++stats_.rto_samples;
-        obs_add(m_.rto_samples);
-      }
+      obs_add(it->second.retransmitted ? m_.rto_discarded : m_.rto_samples);
       ++stats_.tpdus_acked;
       obs_add(m_.tpdus_acked);
       span(SpanEventKind::kTpduAcked, ack.tpdu_id);

@@ -120,6 +120,7 @@ class ChunkTransportSender final : public PacketSink {
   /// At least one TPDU was abandoned after max_retransmits.
   bool failed() const { return stats_.gave_up > 0; }
 
+  /// Its stats() count RTT samples, Karn's-rule discards and backoffs.
   const RtoEstimator& rto() const { return rto_; }
 
   /// Gives up on EVERY still-outstanding TPDU right now (drain path:
@@ -157,11 +158,6 @@ class ChunkTransportSender final : public PacketSink {
     /// Payload bytes encoded from the pending store straight into
     /// canonical wire buffers (the one copy, the NIC-DMA analogue).
     std::uint64_t tx_gather_bytes{0};
-    /// Adaptive-RTO bookkeeping: RTT samples fed to the estimator,
-    /// samples discarded by Karn's rule, and timeout backoffs.
-    std::uint64_t rto_samples{0};
-    std::uint64_t rto_discarded{0};
-    std::uint64_t rto_backoffs{0};
     /// Flow control: grants applied, blocked episodes, zero-credit
     /// probes fired, and multiplicative backoffs on shrinking grants.
     std::uint64_t credit_grants{0};

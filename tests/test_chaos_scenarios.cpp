@@ -3,6 +3,7 @@
 // must be caught), scenario-text round-trips, and the minimizer.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -350,6 +351,20 @@ TEST(ChaosOracles, CheckedInSeed251ReproStillFailsOracle5) {
   EXPECT_EQ(r.failures.front().rfind("oracle-5", 0), 0u) << r.failures.front();
 }
 
+TEST(ChaosOracles, CheckedInSeed1314ReproHoldsEveryOracle) {
+  // tests/chaos_repros/seed_1314.txt: a header flip moved the C.SN of a
+  // one-data-chunk TPDU while its T.SN and X.SN stayed put. With no
+  // second data chunk to compare against, the TPDU used to be accepted
+  // and its bytes placed at the wrong offset (oracle 1). The ED chunk's
+  // starting C.SN now witnesses (C.SN − T.SN), so the corrupt copy is
+  // rejected and the retransmission delivers.
+  const auto sc = load_repro("seed_1314.txt");
+  ASSERT_TRUE(sc.has_value());
+  const ChaosResult r = run_chaos(*sc);
+  EXPECT_TRUE(r.ok) << (r.failures.empty() ? "" : r.failures.front());
+  EXPECT_GE(r.tpdus_rejected, 1u);
+}
+
 TEST(ChaosOracles, MinimizerShrinksWhilePreservingTheFailure) {
   const ChaosScenario sc = unsafe_header_corruption_scenario();
   const ChaosScenario min = minimize_scenario(sc, /*steps=*/40);
@@ -384,6 +399,29 @@ TEST(ChaosText, RoundTripsThroughParse) {
     EXPECT_EQ(a.tpdus_accepted, b.tpdus_accepted);
     EXPECT_EQ(a.sim_end, b.sim_end);
   }
+}
+
+TEST(ChaosText, CheckedInSeedReprosReserializeByteForByte) {
+  // The text format is what keeps a checked-in repro replaying the
+  // same scenario: parse then to_text must give back every
+  // tests/chaos_repros/seed_*.txt unchanged.
+  const std::filesystem::path dir =
+      std::filesystem::path(CHUNKNET_SOURCE_DIR) / "tests" / "chaos_repros";
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("seed_", 0) != 0 || entry.path().extension() != ".txt") {
+      continue;
+    }
+    ++files;
+    std::ifstream in(entry.path());
+    std::ostringstream text;
+    text << in.rdbuf();
+    const auto sc = parse_scenario_text(text.str());
+    ASSERT_TRUE(sc.has_value()) << name;
+    EXPECT_EQ(to_text(*sc), text.str()) << name;
+  }
+  EXPECT_GE(files, 2);
 }
 
 TEST(ChaosText, SeedRoundTripsAllSixtyFourBits) {

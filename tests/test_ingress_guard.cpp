@@ -2,7 +2,7 @@
 // datagrams skip the token bucket until the allowance runs out, the
 // allowance is spent before decode, the overflow bucket is never
 // credited, and an uncredited source is screened exactly as without a
-// credit path.
+// credit path. Also the refusal memory's eviction order when full.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -139,6 +139,27 @@ TEST(IngressGuard, UncreditedSourceIsScreenedAsWithoutCredit) {
   // 4 burst tokens, then 2 whole ones refilled: 10 of the 16
   // datagrams refused.
   EXPECT_EQ(plain.stats().rate_limited, 10u);
+}
+
+TEST(IngressGuard, FullRefusalMemoryForgetsTheLeastRecentlyRemembered) {
+  // One fixed TTL: the least recently remembered refusal is the one
+  // closest to expiry, so it is the one a full table forgets.
+  IngressGuardConfig cfg;
+  cfg.max_refused = 3;
+  IngressGuard g(cfg);
+  g.remember_refusal(1, kNow);
+  g.remember_refusal(2, kNow + 1);
+  g.remember_refusal(3, kNow + 2);
+  g.remember_refusal(1, kNow + 3);  // refreshed: now the newest
+  g.remember_refusal(4, kNow + 4);
+  const SimTime t = kNow + 5;
+  EXPECT_TRUE(g.is_refused(1, t));
+  EXPECT_FALSE(g.is_refused(2, t));
+  EXPECT_TRUE(g.is_refused(3, t));
+  EXPECT_TRUE(g.is_refused(4, t));
+  EXPECT_EQ(g.refused_size(), 3u);
+  EXPECT_EQ(g.stats().refusals_evicted, 1u);
+  EXPECT_EQ(g.stats().refusals_remembered, 5u);
 }
 
 }  // namespace

@@ -278,5 +278,54 @@ TEST(ReceiverEdge, MisframedOverlapRejectsTpduInsteadOfWedging) {
       std::equal(stream.begin(), stream.end(), rx.app_data().begin()));
 }
 
+TEST(ReceiverEdge, OneChunkTpduWithCorruptConnSnFailsConsistency) {
+  // Table 1 puts C.SN corruption in the consistency check's column. A
+  // one-data-chunk TPDU has no second data chunk to compare
+  // (C.SN − T.SN) with; its ED chunk, which carries the TPDU's starting
+  // C.SN at T.SN 0, is the second witness. WSC-2 does not cover C.SN,
+  // so without that check the chunk would be placed at the wrong
+  // offset and ACKed.
+  Simulator sim;
+  std::vector<TpduVerdict> verdicts;
+  ReceiverConfig rc;
+  rc.connection_id = 1;
+  rc.element_size = 4;
+  rc.mode = DeliveryMode::kReassemble;
+  rc.app_buffer_bytes = 128;  // 32 elements
+  rc.on_tpdu = [&](const TpduOutcome& o) { verdicts.push_back(o.verdict); };
+  ChunkTransportReceiver rx(sim, std::move(rc));
+
+  const std::vector<std::uint8_t> stream = pattern(32);
+  Chunk c;
+  c.h.type = ChunkType::kData;
+  c.h.size = 4;
+  c.h.len = 8;
+  c.h.conn = {1, 0, false};
+  c.h.tpdu = {5, 0, true};
+  c.h.xpdu = {1, 0, true};
+  c.payload = stream;
+  TpduInvariant inv;
+  inv.absorb(c);
+  const Chunk ed = make_ed_chunk(1, 5, 0, inv.value());
+
+  Chunk corrupt = c;
+  corrupt.h.conn.sn = 16;  // T.SN and X.SN untouched
+  rx.on_chunk(std::move(corrupt), 0);
+  rx.on_chunk(Chunk{ed}, 0);
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_EQ(verdicts[0], TpduVerdict::kConsistencyFailure);
+  EXPECT_EQ(rx.elements_delivered(), 0u);
+
+  // The clean retransmission is accepted at the right offset.
+  rx.on_chunk(Chunk{c}, 0);
+  rx.on_chunk(Chunk{ed}, 0);
+  ASSERT_EQ(verdicts.size(), 2u);
+  EXPECT_EQ(verdicts[1], TpduVerdict::kAccepted);
+  EXPECT_TRUE(rx.stream_complete(8));
+  EXPECT_EQ(rx.elements_delivered(), 8u);
+  EXPECT_TRUE(
+      std::equal(stream.begin(), stream.end(), rx.app_data().begin()));
+}
+
 }  // namespace
 }  // namespace chunknet
