@@ -11,6 +11,7 @@
 // It also derives the "Changed by fragmentation?" column by actually
 // splitting a chunk and diffing the headers — the same two columns as
 // the paper's Table 1.
+#include <algorithm>
 #include <cinttypes>
 #include <functional>
 #include <optional>
@@ -45,22 +46,39 @@ struct TpduFixture {
   Wsc2Code ed_code;           // transmitter's invariant value
 };
 
-TpduFixture make_tpdu() {
+/// One TPDU (T.ID 21, starting at C.SN 4096) of `elements` elements.
+/// The default spans 8 data chunks, and its X-PDUs span chunks, so
+/// every SN difference has 2+ samples; `elements` = 8 gives a TPDU of
+/// one data chunk.
+TpduFixture make_tpdu(std::uint32_t elements = 64) {
   FramerOptions fo;
   fo.connection_id = 0xC0FFEE;
   fo.element_size = 4;
-  fo.tpdu_elements = 64;
-  fo.xpdu_elements = 16;
-  fo.max_chunk_elements = 8;  // X-PDUs span chunks; SNs have 2+ samples
+  fo.tpdu_elements = elements;
+  fo.xpdu_elements = std::min<std::uint32_t>(elements, 16);
+  fo.max_chunk_elements = 8;
   fo.first_conn_sn = 4096;
   fo.first_tpdu_id = 21;
   fo.first_xpdu_id = 84;
   TpduFixture fx;
-  fx.chunks = frame_stream(pattern_stream(64 * 4, 11), fo);
+  fx.chunks = frame_stream(pattern_stream(elements * 4, 11), fo);
   TpduInvariant inv;
   for (const Chunk& c : fx.chunks) inv.absorb(c);
   fx.ed_code = inv.value();
   return fx;
+}
+
+/// The TPDU on the wire: one chunk per packet (so wire offsets are
+/// stable), its ED chunk last.
+std::vector<std::vector<std::uint8_t>> packets_of(const TpduFixture& fx) {
+  std::vector<std::vector<std::uint8_t>> packets;
+  for (const Chunk& c : fx.chunks) {
+    packets.push_back(encode_packet(std::vector<Chunk>{c}, 65535));
+  }
+  packets.push_back(encode_packet(
+      std::vector<Chunk>{make_ed_chunk(0xC0FFEE, 21, 4096, fx.ed_code)},
+      65535));
+  return packets;
 }
 
 /// Receiver-model classification: decode the (possibly corrupted)
@@ -79,7 +97,10 @@ const char* classify(const std::vector<std::vector<std::uint8_t>>& packets,
     if (!parsed.ok) continue;  // malformed packet: its chunks are lost
     for (const Chunk& c : parsed.chunks) {
       if (c.h.type == ChunkType::kErrorDetection) {
+        // As the receiver does: the ED chunk's (C.SN − T.SN) is the
+        // TPDU's starting C.SN, a consistency sample of its own.
         received_code = parse_ed_chunk(c);
+        consistency.check(c);
         continue;
       }
       if (c.h.type != ChunkType::kData) continue;
@@ -169,15 +190,7 @@ void table1() {
   bool all_match = true;
 
   for (const Row& row : rows) {
-    // One chunk per packet so wire offsets are stable.
-    std::vector<std::vector<std::uint8_t>> packets;
-    for (const Chunk& c : fx.chunks) {
-      packets.push_back(encode_packet(std::vector<Chunk>{c}, 65535));
-    }
-    packets.push_back(encode_packet(
-        std::vector<Chunk>{make_ed_chunk(0xC0FFEE, 21, 4096, fx.ed_code)},
-        65535));
-
+    std::vector<std::vector<std::uint8_t>> packets = packets_of(fx);
     const std::size_t victim =
         row.which_chunk < 0 ? fx.chunks.size() - 1
                             : static_cast<std::size_t>(row.which_chunk);
@@ -201,15 +214,22 @@ void table1() {
                match ? "yes" : "NO"});
   }
 
+  // C.SN of a TPDU with one data chunk: there is no second data chunk
+  // to compare (C.SN − T.SN) with, so the ED chunk is the witness.
+  {
+    const TpduFixture one = make_tpdu(8);
+    std::vector<std::vector<std::uint8_t>> packets = packets_of(one);
+    packets[0][kPacketHeaderBytes + kOffCsn + 3] ^= 0x05;
+    const char* observed = classify(packets, one.ed_code);
+    const bool match = std::string_view(observed) == "Consistency Check";
+    all_match &= match;
+    t.add_row({"C.SN (1-chunk TPDU)", csn_chg ? "Yes" : "No",
+               "Consistency Check", observed, match ? "yes" : "NO"});
+  }
+
   // ED code corruption: the check value itself.
   {
-    std::vector<std::vector<std::uint8_t>> packets;
-    for (const Chunk& c : fx.chunks) {
-      packets.push_back(encode_packet(std::vector<Chunk>{c}, 65535));
-    }
-    packets.push_back(encode_packet(
-        std::vector<Chunk>{make_ed_chunk(0xC0FFEE, 21, 4096, fx.ed_code)},
-        65535));
+    std::vector<std::vector<std::uint8_t>> packets = packets_of(fx);
     packets.back()[kPacketHeaderBytes + kOffPayload + 2] ^= 0x40;
     const char* observed = classify(packets, fx.ed_code);
     t.add_row({"ED code", "No", "Error Detection Code", observed,
@@ -225,15 +245,9 @@ void table1() {
               "the paper assigns it");
 
   // Sanity: an uncorrupted TPDU is accepted.
-  std::vector<std::vector<std::uint8_t>> clean;
-  for (const Chunk& c : fx.chunks) {
-    clean.push_back(encode_packet(std::vector<Chunk>{c}, 65535));
-  }
-  clean.push_back(encode_packet(
-      std::vector<Chunk>{make_ed_chunk(0xC0FFEE, 21, 4096, fx.ed_code)},
-      65535));
-  print_claim(std::string_view(classify(clean, fx.ed_code)) == "UNDETECTED",
-              "control: the uncorrupted TPDU passes all three checks");
+  print_claim(
+      std::string_view(classify(packets_of(fx), fx.ed_code)) == "UNDETECTED",
+      "control: the uncorrupted TPDU passes all three checks");
 }
 
 void duplicate_rejection_matters() {

@@ -15,6 +15,16 @@
 // unchanged; the hot paths (sender view encode, receiver view decode,
 // PacketBufferPool recycling) are written against PacketBytes natively,
 // so they move storage and never hit the converting copies.
+//
+// HugePageAllocator is the other end of the size range: the two
+// stream-sized buffers (the sender's owned copy of the stream and the
+// receiver's application buffer) are megabytes each and are built and
+// freed once per transfer. Backed by plain 4 KiB pages, every transfer
+// makes the kernel zero-fill and map each page on first touch — a
+// hidden extra pass over memory the protocol never asked for. Blocks of
+// at least kHugePageBytes are mapped 2 MiB-aligned, advised for
+// transparent huge pages, and unmapped when freed; smaller blocks take
+// plain `operator new`.
 #pragma once
 
 #include <algorithm>
@@ -212,6 +222,58 @@ class PacketBytes {
   std::size_t size_{0};
   std::size_t cap_{0};
 };
+
+/// The huge-page size of x86-64 and of aarch64 with 4 KiB base pages.
+/// Blocks this large or larger are huge-page blocks.
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+/// Bytes a block of `n` bytes occupies: `n` below kHugePageBytes, else
+/// `n` rounded up to a multiple of kHugePageBytes.
+constexpr std::size_t huge_block_length(std::size_t n) {
+  return n < kHugePageBytes
+             ? n
+             : (n + kHugePageBytes - 1) / kHugePageBytes * kHugePageBytes;
+}
+
+/// A block of at least `n` bytes. From kHugePageBytes up: a fresh
+/// (zero-filled) anonymous mapping of huge_block_length(n) bytes,
+/// kHugePageBytes-aligned and advised MADV_HUGEPAGE (a refusal is
+/// ignored: the block then stays on base pages). Below: `operator
+/// new(n)`. Throws std::bad_alloc when the memory is not there.
+void* allocate_huge_block(std::size_t n);
+
+/// Frees a block from allocate_huge_block(n), with the same `n`. A
+/// huge-page block goes straight back to the OS.
+void deallocate_huge_block(void* p, std::size_t n) noexcept;
+
+/// std-style allocator over allocate_huge_block, for stream-sized
+/// containers (see StreamBytes).
+template <typename T>
+struct HugePageAllocator {
+  using value_type = T;
+
+  HugePageAllocator() = default;
+  template <typename U>
+  HugePageAllocator(const HugePageAllocator<U>&) {}  // NOLINT(runtime/explicit)
+
+  T* allocate(std::size_t n) {
+    if (n > static_cast<std::size_t>(-1) / sizeof(T)) throw std::bad_alloc();
+    return static_cast<T*>(allocate_huge_block(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    deallocate_huge_block(p, n * sizeof(T));
+  }
+
+  template <typename U>
+  friend bool operator==(const HugePageAllocator&,
+                         const HugePageAllocator<U>&) {
+    return true;
+  }
+};
+
+/// A byte buffer sized to a whole stream (megabytes): huge-page backed
+/// from kHugePageBytes up, an ordinary heap block below.
+using StreamBytes = std::vector<std::uint8_t, HugePageAllocator<std::uint8_t>>;
 
 /// True when `p` sits on a PacketBytes-grade boundary. The pool and the
 /// alignment test assert this on every allocation.

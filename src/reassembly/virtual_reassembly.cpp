@@ -43,6 +43,15 @@ PieceVerdict PduTracker::add(std::uint32_t sn, std::uint32_t len, bool stop) {
   return PieceVerdict::kAccept;
 }
 
+PieceVerdict verdict_once_complete(std::uint32_t stop_sn, std::uint32_t sn,
+                                   std::uint32_t len, bool stop) {
+  if (len == 0) return PieceVerdict::kDuplicate;
+  const std::uint64_t last = static_cast<std::uint64_t>(sn) + len - 1;
+  if (last > stop_sn) return PieceVerdict::kAfterStop;
+  if (stop && last != stop_sn) return PieceVerdict::kStopConflict;
+  return PieceVerdict::kDuplicate;  // inside [0, stop_sn]: all covered
+}
+
 std::uint64_t PduTracker::max_seen() const { return seen_.max_covered(); }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> PduTracker::missing_runs()

@@ -75,6 +75,13 @@ class PduTracker {
   std::uint64_t overlaps_{0};
 };
 
+/// What PduTracker::add returns for the piece (sn, len, stop) once the
+/// tracker is complete with its final element at `stop_sn`: a complete
+/// tracker judges a piece by its framing against the stop alone, so an
+/// accepted PDU's context can shrink to that one SN.
+PieceVerdict verdict_once_complete(std::uint32_t stop_sn, std::uint32_t sn,
+                                   std::uint32_t len, bool stop);
+
 /// Key identifying a PDU within a receiver: (connection, PDU id).
 struct PduKey {
   std::uint32_t conn_id{0};

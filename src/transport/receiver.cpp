@@ -98,7 +98,7 @@ void ChunkTransportReceiver::abort_for_governor(std::uint32_t tpdu_id,
                                                 std::size_t incoming_bytes) {
   ++stats_.governor_refusals;
   obs_add(m_.governor_refusals);
-  if (tpdus_.find(tpdu_id) != nullptr) evict_tpdu(tpdu_id, /*aux=*/1);
+  if (tpdus_.contains(tpdu_id)) evict_tpdu(tpdu_id, /*aux=*/1);
   drop_unplaced(incoming_bytes, /*was_held=*/false);
 }
 
@@ -253,8 +253,8 @@ void ChunkTransportReceiver::drop_unplaced(std::size_t payload_bytes,
 
 ChunkTransportReceiver::TpduState& ChunkTransportReceiver::open_tpdu(
     std::uint32_t tpdu_id) {
-  if (cfg_.max_open_tpdus > 0 && tpdus_.size() >= cfg_.max_open_tpdus &&
-      tpdus_.find(tpdu_id) == nullptr) {
+  if (cfg_.max_open_tpdus > 0 && open_tpdus() >= cfg_.max_open_tpdus &&
+      !tpdus_.contains(tpdu_id)) {
     evict_for_open_cap();
   }
   const auto [st, inserted] = tpdus_.try_emplace(tpdu_id);
@@ -274,16 +274,27 @@ void ChunkTransportReceiver::handle_data_chunk(const ChunkView& v,
     return;
   }
 
-  TpduState& st = open_tpdu(v.h.tpdu.id);
-  if (st.elements == 0 && st.first_chunk_at == 0) {
-    st.first_chunk_at = clock_.now();
-    span(SpanEventKind::kTpduFirstChunk, v.h.tpdu.id);
+  // A late piece of an accepted TPDU is judged by its tombstone alone,
+  // exactly as the complete tracker would judge it; it is never
+  // absorbed or placed again.
+  const Tombstone* tomb = accepted_.find(v.h.tpdu.id);
+  TpduState* open = nullptr;
+  if (tomb == nullptr) {
+    open = &open_tpdu(v.h.tpdu.id);
+    if (open->elements == 0 && open->first_chunk_at == 0) {
+      open->first_chunk_at = clock_.now();
+      span(SpanEventKind::kTpduFirstChunk, v.h.tpdu.id);
+    }
+    arm_gap_nak_timer(v.h.tpdu.id, *open);
   }
-  arm_gap_nak_timer(v.h.tpdu.id, st);
 
   // --- virtual reassembly first: duplicates must never reach the
   // incremental code or overwrite placed data (§3.3).
-  switch (st.tracker.add(v.h.tpdu.sn, v.h.len, v.h.tpdu.st)) {
+  const PieceVerdict verdict =
+      tomb != nullptr ? verdict_once_complete(tomb->stop, v.h.tpdu.sn,
+                                              v.h.len, v.h.tpdu.st)
+                      : open->tracker.add(v.h.tpdu.sn, v.h.len, v.h.tpdu.st);
+  switch (verdict) {
     case PieceVerdict::kAccept:
       break;
     case PieceVerdict::kDuplicate:
@@ -299,24 +310,27 @@ void ChunkTransportReceiver::handle_data_chunk(const ChunkView& v,
       // can't complete, every canonical retransmission re-overlaps,
       // and no verdict ever fires. Flagging it routes the TPDU through
       // the ReassemblyError reject → erase → clean-retransmission
-      // recovery path, same as the other framing corruptions.
+      // recovery path, same as the other framing corruptions. (A
+      // complete tracker never answers kOverlap: the TPDU is open.)
       ++stats_.overlap_chunks;
       obs_add(m_.overlap_chunks);
       trace_chunk(TraceEventKind::kOverlapRejected, v.h, packet_id);
-      st.framing_error = true;
-      try_finish(v.h.tpdu.id, st);
+      open->framing_error = true;
+      try_finish(v.h.tpdu.id, *open);
       return;
     case PieceVerdict::kAfterStop:
     case PieceVerdict::kStopConflict:
       ++stats_.framing_error_chunks;
       obs_add(m_.framing_error_chunks);
       trace_chunk(TraceEventKind::kFramingRejected, v.h, packet_id);
-      st.framing_error = true;
+      if (open == nullptr) return;
+      open->framing_error = true;
       // If the ED chunk already landed, resolve now rather than waiting
       // for the next (possibly never-arriving) chunk to trigger it.
-      try_finish(v.h.tpdu.id, st);
+      try_finish(v.h.tpdu.id, *open);
       return;
   }
+  TpduState& st = *open;
   st.elements += v.h.len;
 
   // --- incremental protocol processing on the disordered chunk,
@@ -501,13 +515,12 @@ void ChunkTransportReceiver::place_chunk(
 void ChunkTransportReceiver::handle_ed_chunk(const ChunkView& v) {
   ++stats_.ed_chunks;
   obs_add(m_.ed_chunks);
-  TpduState& st = open_tpdu(v.h.tpdu.id);
-  if (st.finished) {
-    // Finished tombstones exist only for ACCEPTED TPDUs (rejected state
-    // is erased). A re-arriving ED chunk means our positive ACK was
-    // lost: the sender is still retransmitting a TPDU we delivered.
-    // Re-ACK so it stops — otherwise it retries to give-up and the
-    // delivery report turns falsely negative (chaos oracle 1/4).
+  if (accepted_.contains(v.h.tpdu.id)) {
+    // Tombstones exist only for ACCEPTED TPDUs (rejected state is
+    // erased). A re-arriving ED chunk means our positive ACK was lost:
+    // the sender is still retransmitting a TPDU we delivered. Re-ACK so
+    // it stops — otherwise it retries to give-up and the delivery
+    // report turns falsely negative (chaos oracle 1/4).
     if (cfg_.send_control) {
       ++stats_.acks_resent;
       obs_add(m_.acks_resent);
@@ -519,6 +532,7 @@ void ChunkTransportReceiver::handle_ed_chunk(const ChunkView& v) {
     }
     return;
   }
+  TpduState& st = open_tpdu(v.h.tpdu.id);
   if (st.first_chunk_at == 0) {
     st.first_chunk_at = clock_.now();
     span(SpanEventKind::kTpduFirstChunk, v.h.tpdu.id);
@@ -530,7 +544,7 @@ void ChunkTransportReceiver::handle_ed_chunk(const ChunkView& v) {
 }
 
 void ChunkTransportReceiver::try_finish(std::uint32_t tpdu_id, TpduState& st) {
-  if (st.finished || !st.received_code) return;
+  if (!st.received_code) return;
   if (!st.tracker.complete() && !st.framing_error) return;
 
   TpduVerdict verdict = TpduVerdict::kAccepted;
@@ -557,23 +571,21 @@ void ChunkTransportReceiver::try_finish(std::uint32_t tpdu_id, TpduState& st) {
         drop_unplaced(hc.chunk.payload.size(), /*was_held=*/true);
       }
     }
-    st.held.clear();
   }
 
-  st.finished = true;
-  clock_.cancel(st.nak_timer);
-  // Queue upkeep: finished TPDUs hold nothing, and only ACCEPTED ones
-  // keep a tombstone (in finish order); rejected state is erased below,
-  // so its creation-order node is simply unlinked.
-  if (st.holder_node != PickQueue::kNil) {
-    holders_.remove(st.holder_node);
-    st.holder_node = PickQueue::kNil;
-  }
-  if (st.order_node != PickQueue::kNil) active_.remove(st.order_node);
-  st.order_node = verdict == TpduVerdict::kAccepted
-                      ? tombstones_.push_back(tpdu_id)
-                      : PickQueue::kNil;
+  // The open context goes either way. A rejected TPDU's poisoned state
+  // must not survive, so its retransmission with the same identifiers
+  // (§3.3) starts clean; an accepted one leaves a tombstone holding its
+  // stop element (in finish order under the open cap).
+  const SimTime first_chunk_at = st.first_chunk_at;
+  const std::uint64_t elements = st.elements;
+  const std::uint32_t stop = st.tracker.stop_element().value_or(0);
+  erase_tpdu_entry(tpdu_id, st);
   if (verdict == TpduVerdict::kAccepted) {
+    accepted_.insert_or_assign(
+        tpdu_id, Tombstone{stop, cfg_.max_open_tpdus > 0
+                                     ? tombstones_.push_back(tpdu_id)
+                                     : PickQueue::kNil});
     ++stats_.tpdus_accepted;
     obs_add(m_.tpdus_accepted);
     span(SpanEventKind::kTpduDelivered, tpdu_id,
@@ -592,7 +604,7 @@ void ChunkTransportReceiver::try_finish(std::uint32_t tpdu_id, TpduState& st) {
                  : TraceEventKind::kTpduRejected;
     e.site = cfg_.obs_site;
     e.tpdu_id = tpdu_id;
-    e.len = static_cast<std::uint32_t>(st.elements);
+    e.len = static_cast<std::uint32_t>(elements);
     e.aux = static_cast<std::uint64_t>(verdict);
     cfg_.obs->tracer->record(e);
   }
@@ -601,9 +613,9 @@ void ChunkTransportReceiver::try_finish(std::uint32_t tpdu_id, TpduState& st) {
     TpduOutcome outcome;
     outcome.tpdu_id = tpdu_id;
     outcome.verdict = verdict;
-    outcome.first_chunk_at = st.first_chunk_at;
+    outcome.first_chunk_at = first_chunk_at;
     outcome.completed_at = clock_.now();
-    outcome.elements = st.elements;
+    outcome.elements = elements;
     cfg_.on_tpdu(outcome);
   }
   if (cfg_.send_control) {
@@ -614,19 +626,14 @@ void ChunkTransportReceiver::try_finish(std::uint32_t tpdu_id, TpduState& st) {
   // (whatever the verdict — a rejected TPDU's retransmission reuses its
   // already-consumed credit), so advance the cumulative base and
   // advertise the fresh window.
-  credited_bytes_ += st.elements * cfg_.element_size;
+  credited_bytes_ += elements * cfg_.element_size;
   maybe_send_grant();
-  if (verdict != TpduVerdict::kAccepted) {
-    // Drop poisoned state so a retransmission with the same identifiers
-    // (§3.3) starts clean.
-    tpdus_.erase(tpdu_id);
-  }
 }
 
 void ChunkTransportReceiver::arm_gap_nak_timer(std::uint32_t tpdu_id,
                                                TpduState& st) {
   if (cfg_.gap_nak_delay == 0 || !cfg_.send_control || st.nak_timer != 0 ||
-      st.finished || st.gap_naks_sent >= cfg_.max_gap_naks) {
+      st.gap_naks_sent >= cfg_.max_gap_naks) {
     return;
   }
   st.nak_timer = clock_.arm_in(cfg_.gap_nak_delay,
@@ -635,7 +642,7 @@ void ChunkTransportReceiver::arm_gap_nak_timer(std::uint32_t tpdu_id,
 
 void ChunkTransportReceiver::fire_gap_nak(std::uint32_t tpdu_id) {
   // Finishing or erasing the TPDU cancels this deadline, so its entry
-  // is here and unfinished. (The table may have moved it: look it up.)
+  // is here and open. (The table may have moved it: look it up.)
   TpduState& st = *tpdus_.find(tpdu_id);
   st.nak_timer = 0;
 
@@ -684,8 +691,8 @@ std::optional<std::uint32_t> ChunkTransportReceiver::evict_oldest_holder() {
 }
 
 void ChunkTransportReceiver::evict_for_open_cap() {
-  // Finished tombstones go first (they hold no data and exist only to
-  // absorb late duplicates), then INCOMPLETE unfinished TPDUs; a
+  // Tombstones go first (they hold no data and exist only to absorb
+  // late duplicates), then INCOMPLETE unfinished TPDUs; a
   // complete-but-not-yet-delivered TPDU (all data arrived, ED chunk
   // still in flight) is the worst possible victim — evicting it throws
   // away a full retransmission's worth of progress — so it goes last.
@@ -720,29 +727,38 @@ void ChunkTransportReceiver::evict_for_open_cap() {
 
 void ChunkTransportReceiver::evict_tpdu(std::uint32_t tpdu_id,
                                         std::uint64_t aux) {
-  TpduState& st = *tpdus_.find(tpdu_id);
-  for (const HeldChunk& hc : st.held) {
-    drop_unplaced(hc.chunk.payload.size(), /*was_held=*/true);
-    ++stats_.held_chunks_evicted;
-    stats_.held_bytes_evicted += hc.chunk.payload.size();
-    obs_add(m_.held_chunks_evicted);
-    obs_add(m_.held_bytes_evicted, hc.chunk.payload.size());
-    trace_chunk(TraceEventKind::kChunkEvicted, hc.chunk.h, hc.packet_id, 0);
+  if (TpduState* st = tpdus_.find(tpdu_id)) {
+    for (const HeldChunk& hc : st->held) {
+      drop_unplaced(hc.chunk.payload.size(), /*was_held=*/true);
+      ++stats_.held_chunks_evicted;
+      stats_.held_bytes_evicted += hc.chunk.payload.size();
+      obs_add(m_.held_chunks_evicted);
+      obs_add(m_.held_bytes_evicted, hc.chunk.payload.size());
+      trace_chunk(TraceEventKind::kChunkEvicted, hc.chunk.h, hc.packet_id,
+                  0);
+    }
+    erase_tpdu_entry(tpdu_id, *st);
+  } else {
+    erase_tombstone(tpdu_id);
   }
   ++stats_.tpdus_evicted;
   obs_add(m_.tpdus_evicted);
   span(SpanEventKind::kTpduEvicted, tpdu_id, aux);
-  erase_tpdu_entry(tpdu_id, st);
 }
 
 void ChunkTransportReceiver::erase_tpdu_entry(std::uint32_t tpdu_id,
                                               TpduState& st) {
   clock_.cancel(st.nak_timer);
   if (st.holder_node != PickQueue::kNil) holders_.remove(st.holder_node);
-  if (st.order_node != PickQueue::kNil) {
-    (st.finished ? tombstones_ : active_).remove(st.order_node);
-  }
+  active_.remove(st.order_node);
   tpdus_.erase(tpdu_id);
+}
+
+void ChunkTransportReceiver::erase_tombstone(std::uint32_t tpdu_id) {
+  const Tombstone* t = accepted_.find(tpdu_id);
+  if (t == nullptr) return;
+  if (t->order_node != PickQueue::kNil) tombstones_.remove(t->order_node);
+  accepted_.erase(tpdu_id);
 }
 
 void ChunkTransportReceiver::abort_tpdu(std::uint32_t tpdu_id) {
@@ -754,6 +770,8 @@ void ChunkTransportReceiver::abort_tpdu(std::uint32_t tpdu_id) {
       drop_unplaced(hc.chunk.payload.size(), /*was_held=*/true);
     }
     erase_tpdu_entry(tpdu_id, *st);
+  } else {
+    erase_tombstone(tpdu_id);
   }
   if (cfg_.mode != DeliveryMode::kReorder) return;
   // Purge the aborted TPDU's queued chunks (they can never be released
@@ -789,9 +807,9 @@ std::size_t ChunkTransportReceiver::state_bytes() const {
   // A red-black tree node: the entry plus three links and a colour.
   constexpr std::size_t kReorderNodeBytes =
       sizeof(decltype(reorder_queue_)::value_type) + 4 * sizeof(void*);
-  return tpdus_.memory_bytes() + reorder_queue_.size() * kReorderNodeBytes +
-         active_.memory_bytes() + tombstones_.memory_bytes() +
-         holders_.memory_bytes();
+  return tpdus_.memory_bytes() + accepted_.memory_bytes() +
+         reorder_queue_.size() * kReorderNodeBytes + active_.memory_bytes() +
+         tombstones_.memory_bytes() + holders_.memory_bytes();
 }
 
 }  // namespace chunknet

@@ -27,6 +27,7 @@
 #include "src/chunk/builder.hpp"
 #include "src/chunk/compress.hpp"
 #include "src/chunk/types.hpp"
+#include "src/common/aligned.hpp"
 #include "src/common/buffer_pool.hpp"
 #include "src/common/flat_map.hpp"
 #include "src/common/interval_set.hpp"
@@ -102,8 +103,8 @@ struct ReceiverConfig {
   /// retransmission starts clean). Immediate mode holds nothing and
   /// never evicts — the paper's point, stressed by bench E7/E11.
   std::size_t max_held_bytes{0};
-  /// Cap on per-TPDU context entries (open + finished tombstones).
-  /// 0 = unbounded. Eviction prefers finished tombstones, then
+  /// Cap on per-TPDU context entries (open TPDUs + accepted
+  /// tombstones). 0 = unbounded. Eviction prefers tombstones, then
   /// incomplete TPDUs, and only then complete-but-undelivered ones
   /// (oldest first within a class); evicting an unfinished TPDU aborts
   /// it.
@@ -234,13 +235,16 @@ class ChunkTransportReceiver final : public PacketSink {
   void abort_tpdu(std::uint32_t tpdu_id);
 
   /// State-leak probes for post-quiescence checks (chaos oracles).
-  std::size_t open_tpdus() const { return tpdus_.size(); }
-  std::size_t unfinished_tpdus() const { return active_.size(); }
+  /// open_tpdus() counts every context entry, accepted tombstones
+  /// included; unfinished_tpdus() only the TPDUs still open.
+  std::size_t open_tpdus() const { return tpdus_.size() + accepted_.size(); }
+  std::size_t unfinished_tpdus() const { return tpdus_.size(); }
   std::vector<std::uint32_t> unfinished_tpdu_ids() const;
   std::size_t reorder_queue_chunks() const { return reorder_queue_.size(); }
 
-  /// Structural bytes of the per-connection tables (TPDU contexts,
-  /// reorder queue, eviction queues) — the footprint the flow-scale
+  /// Structural bytes of the per-connection tables (open TPDU
+  /// contexts, accepted tombstones, reorder queue, eviction queues) —
+  /// the footprint the flow-scale
   /// bench tracks per connection. Excludes the app buffer and the
   /// variable-size per-TPDU internals (held vectors, tracker runs).
   std::size_t state_bytes() const;
@@ -252,6 +256,8 @@ class ChunkTransportReceiver final : public PacketSink {
     std::uint64_t packet_id{0};
   };
 
+  /// An open TPDU: everything Table 1's three checks need until its
+  /// verdict. try_finish erases it; an accepted TPDU leaves a Tombstone.
   struct TpduState {
     TpduInvariant invariant;
     PduTracker tracker;
@@ -259,25 +265,35 @@ class ChunkTransportReceiver final : public PacketSink {
     std::optional<Wsc2Code> received_code;
     bool framing_error{false};
     bool layout_error{false};
-    bool finished{false};
     SimTime first_chunk_at{0};
     std::uint64_t elements{0};
     int gap_naks_sent{0};
     TimerId nak_timer{0};  ///< pending gap-NAK deadline (0 = none)
     std::vector<HeldChunk> held;  ///< kReassemble mode only
     /// Intrusive handles into the eviction queues (PickQueue::kNil when
-    /// not enqueued): creation-order node (active_ while unfinished,
-    /// tombstones_ once accepted) and first-hold-order node (holders_,
-    /// kReassemble mode while held is non-empty).
+    /// not enqueued): creation-order node in active_, and first-hold-
+    /// order node in holders_ (kReassemble mode while held is non-empty).
     std::int32_t order_node{PickQueue::kNil};
     std::int32_t holder_node{PickQueue::kNil};
+  };
+
+  /// An accepted TPDU, kept so its late pieces are recognised: a
+  /// re-sent data chunk counts as a duplicate, a misframed one as a
+  /// framing error (verdict_once_complete needs only the stop element),
+  /// and a re-sent ED chunk is re-ACKed. `order_node` is its finish-
+  /// order node in tombstones_, which only max_open_tpdus eviction
+  /// reads; without the cap it stays PickQueue::kNil.
+  struct Tombstone {
+    std::uint32_t stop{0};  ///< T.SN of the TPDU's final element
+    std::int32_t order_node{PickQueue::kNil};
   };
 
   void handle_data_chunk(const ChunkView& v, SimTime packet_created_at,
                          std::uint64_t packet_id);
   void handle_ed_chunk(const ChunkView& v);
-  /// The TPDU's context entry, created (in creation order, after any
-  /// max_open_tpdus eviction) when it does not exist yet.
+  /// The open TPDU's context entry, created (in creation order, after
+  /// any max_open_tpdus eviction) when it does not exist yet. The TPDU
+  /// must not have a tombstone.
   TpduState& open_tpdu(std::uint32_t tpdu_id);
   void arm_gap_nak_timer(std::uint32_t tpdu_id, TpduState& st);
   void fire_gap_nak(std::uint32_t tpdu_id);
@@ -294,14 +310,18 @@ class ChunkTransportReceiver final : public PacketSink {
   /// TPDU with the oldest first chunk that holds bytes. Returns its id,
   /// or nullopt when nothing is holding.
   std::optional<std::uint32_t> evict_oldest_holder();
-  /// max_open_tpdus pressure: drops one context entry (finished
-  /// tombstones first, oldest first; else the oldest unfinished TPDU).
+  /// max_open_tpdus pressure: drops one context entry (tombstones
+  /// first, oldest first; else the oldest unfinished TPDU).
   void evict_for_open_cap();
-  /// Drops one TPDU's held chunks and context, counted as an eviction;
-  /// `aux` tags its kTpduEvicted span (1 = governor abort).
+  /// Drops one TPDU's tombstone, or its held chunks and context,
+  /// counted as an eviction; `aux` tags its kTpduEvicted span (1 =
+  /// governor abort).
   void evict_tpdu(std::uint32_t tpdu_id, std::uint64_t aux = 0);
-  /// Cancels the TPDU's gap-NAK, unlinks its eviction-queue nodes and
-  /// erases its entry. Any TpduState pointers are invalid afterwards.
+  /// Drops the TPDU's tombstone, if it has one.
+  void erase_tombstone(std::uint32_t tpdu_id);
+  /// Cancels the open TPDU's gap-NAK, unlinks its eviction-queue nodes
+  /// and erases its entry. Any TpduState pointers are invalid
+  /// afterwards.
   void erase_tpdu_entry(std::uint32_t tpdu_id, TpduState& st);
   void hold_bytes(std::uint64_t n);
   void unhold_bytes(std::uint64_t n);
@@ -360,15 +380,20 @@ class ChunkTransportReceiver final : public PacketSink {
   /// Reused across packets by on_packet so steady-state receive does
   /// no per-packet allocation (capacity sticks at the high-water mark).
   std::vector<ChunkView> view_scratch_;
-  std::vector<std::uint8_t> app_buffer_;
+  /// Huge-page backed once it reaches kHugePageBytes.
+  StreamBytes app_buffer_;
   IntervalSet app_coverage_;  ///< element-granular, relative to first_conn_sn
+  /// Open TPDUs only. An accepted TPDU moves to accepted_ (the two
+  /// never share a T.ID); a rejected one is erased, so its
+  /// retransmission (§3.3) starts clean.
   FlatMap<std::uint32_t, TpduState> tpdus_;
-  /// Eviction bookkeeping over tpdus_, all O(1) per update: unfinished
-  /// TPDUs in creation order (== first-chunk order; sim time is
-  /// monotonic), accepted tombstones in finish order, and reassemble-
-  /// mode holders in first-hold order. Eviction pops queue heads
-  /// instead of scanning the table, so shedding a few entries from a
-  /// 100k-flow table is O(evicted), not O(live).
+  FlatMap<std::uint32_t, Tombstone> accepted_;
+  /// Eviction bookkeeping, all O(1) per update: open TPDUs in creation
+  /// order (== first-chunk order; sim time is monotonic), tombstones in
+  /// finish order (under max_open_tpdus only), and reassemble-mode
+  /// holders in first-hold order. Eviction pops queue heads instead of
+  /// scanning the table, so shedding a few entries from a 100k-flow
+  /// table is O(evicted), not O(live).
   PickQueue active_;
   PickQueue tombstones_;
   PickQueue holders_;

@@ -28,6 +28,7 @@
 #include "src/chunk/builder.hpp"
 #include "src/chunk/compress.hpp"
 #include "src/chunk/packetizer.hpp"
+#include "src/common/aligned.hpp"
 #include "src/common/runtime.hpp"
 #include "src/obs/obs.hpp"
 #include "src/transport/invariant.hpp"
@@ -253,7 +254,8 @@ class ChunkTransportSender final : public PacketSink {
   ObsHandles m_;
   SpanRecorder* spans_{nullptr};  ///< resolved once; hot path
   /// The one owned copy of the stream; pending data views alias it.
-  std::vector<std::uint8_t> stream_;
+  /// Huge-page backed once it reaches kHugePageBytes.
+  StreamBytes stream_;
   Outstanding outstanding_;
   std::vector<std::uint32_t> gave_up_ids_;
   /// on_packet's decode scratch (capacity kept across envelopes).

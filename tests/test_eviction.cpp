@@ -220,6 +220,37 @@ TEST(Eviction, OpenTpduCapPrefersFinishedTombstones) {
       std::equal(stream.begin(), stream.end(), rx.app_data().begin()));
 }
 
+TEST(Eviction, AcceptedTpdusLeaveSmallTombstones) {
+  // An accepted TPDU keeps only a tombstone — its stop element, enough
+  // to judge late pieces — not its whole open context (tracker, code,
+  // consistency state). open_tpdus() still counts every tombstone, and
+  // a late copy of an accepted TPDU is still a duplicate.
+  constexpr std::size_t kTpdus = 4096;
+  const auto stream = pattern(kTpdus * 32);  // 8 elements per TPDU
+  const auto tpdus = framed_tpdus(stream);
+  ASSERT_EQ(tpdus.size(), kTpdus);
+  Simulator sim;
+  ChunkTransportReceiver rx(
+      sim, base_config(stream.size(), DeliveryMode::kImmediate));
+  const std::size_t before = rx.state_bytes();
+
+  for (const auto& g : tpdus) {
+    for (const auto& c : g) rx.on_chunk(c, 0);
+  }
+  EXPECT_EQ(rx.stats().tpdus_accepted, kTpdus);
+  EXPECT_EQ(rx.open_tpdus(), kTpdus);
+  EXPECT_EQ(rx.unfinished_tpdus(), 0u);
+  // 12-byte entries in a power-of-two table at most 7/8 full: 26 B per
+  // tombstone at 4096 of them (no finish-order node without a cap).
+  EXPECT_LE(rx.state_bytes() - before, kTpdus * 32u);
+
+  rx.on_chunk(tpdus[17][0], 0);
+  EXPECT_EQ(rx.stats().duplicate_chunks, 1u);
+  EXPECT_EQ(rx.stats().tpdus_accepted, kTpdus);
+  EXPECT_TRUE(
+      std::equal(stream.begin(), stream.end(), rx.app_data().begin()));
+}
+
 TEST(Eviction, OpenTpduCapPrefersIncompleteOverCompleteUndelivered) {
   // A complete-but-undelivered TPDU (every data chunk arrived, ED chunk
   // still in flight) is one chunk away from acceptance: evicting it

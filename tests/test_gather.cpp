@@ -346,13 +346,13 @@ TEST(GatherTx, SelectiveRetransmitStaysZeroCopy) {
                          h.receiver->app_data().begin()));
 }
 
-TEST(GatherTx, ResendReadsTheSendersOwnCopyOfTheStream) {
-  // The pending views alias the sender's copy of the stream, not the
-  // caller's buffer: overwritten and freed on return, it must not leak
-  // into the RTO resend (under ASan a stale alias is a use-after-free).
+/// The pending views alias the sender's copy of the stream, not the
+/// caller's buffer: overwritten and freed on return, it must not leak
+/// into the RTO resend (under ASan a stale alias is a use-after-free).
+void expect_resend_reads_senders_copy(std::size_t stream_bytes) {
   LinkConfig cfg;
   cfg.mtu = 1500;
-  const auto stream = pattern(16 * 1024);
+  const auto stream = pattern(stream_bytes);
   TxHarness h(cfg, stream.size());
   h.drop_nth = [](std::uint64_t i) { return i == 0; };
   {
@@ -367,6 +367,16 @@ TEST(GatherTx, ResendReadsTheSendersOwnCopyOfTheStream) {
   EXPECT_TRUE(h.receiver->stream_complete(stream.size() / 4));
   EXPECT_TRUE(std::equal(stream.begin(), stream.end(),
                          h.receiver->app_data().begin()));
+}
+
+TEST(GatherTx, ResendReadsTheSendersOwnCopyOfTheStream) {
+  expect_resend_reads_senders_copy(16 * 1024);
+}
+
+TEST(GatherTx, ResendReadsTheSendersHugePageCopyOfTheStream) {
+  // 4 MiB: both the sender's copy and the receiver's buffer are
+  // huge-page blocks (src/common/aligned.hpp).
+  expect_resend_reads_senders_copy(4 << 20);
 }
 
 TEST(GatherTx, MaterializingFallbackCountsEveryPayloadByte) {

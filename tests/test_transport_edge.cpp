@@ -278,6 +278,138 @@ TEST(ReceiverEdge, MisframedOverlapRejectsTpduInsteadOfWedging) {
       std::equal(stream.begin(), stream.end(), rx.app_data().begin()));
 }
 
+/// One accepted TPDU (T.ID 5: data [0, 8) and [8, 16), stop at 15) on
+/// a receiver that grants credit and records its control chunks, so
+/// tests can replay late pieces against the accepted TPDU's tombstone.
+struct AcceptedTpdu {
+  Simulator sim;
+  std::vector<Chunk> control;
+  std::vector<std::uint8_t> stream = pattern(64);
+  Chunk a;
+  Chunk b;
+  Chunk ed;
+  std::unique_ptr<ChunkTransportReceiver> rx;
+
+  AcceptedTpdu() {
+    ReceiverConfig rc;
+    rc.connection_id = 1;
+    rc.element_size = 4;
+    rc.app_buffer_bytes = stream.size();
+    rc.grant_credit = true;
+    rc.send_control = [this](Chunk c) { control.push_back(std::move(c)); };
+    rx = std::make_unique<ChunkTransportReceiver>(sim, std::move(rc));
+    a = data(0, 8, false);
+    b = data(8, 8, true);
+    TpduInvariant inv;
+    inv.absorb(a);
+    inv.absorb(b);
+    ed = make_ed_chunk(1, 5, 0, inv.value());
+    rx->on_chunk(Chunk{a}, 0);
+    rx->on_chunk(Chunk{b}, 0);
+    rx->on_chunk(Chunk{ed}, 0);
+  }
+
+  /// A data chunk of T.ID 5 covering elements [sn, sn + len); its
+  /// payload is the stream's bytes where the stream has them.
+  Chunk data(std::uint32_t sn, std::uint32_t len, bool st) const {
+    Chunk c;
+    c.h.type = ChunkType::kData;
+    c.h.size = 4;
+    c.h.len = len;
+    c.h.conn = {1, sn, false};
+    c.h.tpdu = {5, sn, st};
+    c.h.xpdu = {1, sn, st};
+    c.payload.assign(len * 4u, std::uint8_t{0xEE});
+    for (std::size_t i = 0; i < c.payload.size(); ++i) {
+      if (sn * 4u + i < stream.size()) c.payload[i] = stream[sn * 4u + i];
+    }
+    return c;
+  }
+
+  /// Positive ACKs for T.ID 5.
+  std::size_t acks() const {
+    return static_cast<std::size_t>(
+        std::count_if(control.begin(), control.end(), [](const Chunk& c) {
+          if (c.h.type != ChunkType::kAck) return false;
+          const AckInfo ack = parse_ack_chunk(c);
+          return ack.positive && ack.tpdu_id == 5;
+        }));
+  }
+  std::size_t grants() const {
+    return static_cast<std::size_t>(
+        std::count_if(control.begin(), control.end(), [](const Chunk& c) {
+          return c.h.type == ChunkType::kSignal &&
+                 parse_credit_grant(c).has_value();
+        }));
+  }
+  bool app_intact() const {
+    return std::equal(stream.begin(), stream.end(), rx->app_data().begin());
+  }
+};
+
+TEST(ReceiverEdge, TombstoneCountsAResentDataChunkAsOneDuplicate) {
+  AcceptedTpdu t;
+  ASSERT_EQ(t.rx->stats().tpdus_accepted, 1u);
+  EXPECT_EQ(t.rx->open_tpdus(), 1u);  // the tombstone
+  EXPECT_EQ(t.rx->unfinished_tpdus(), 0u);
+  const std::uint64_t placed = t.rx->stats().chunks_placed;
+
+  t.rx->on_chunk(Chunk{t.a}, 0);
+  EXPECT_EQ(t.rx->stats().duplicate_chunks, 1u);
+  // A GapNak-style slice inside the TPDU is one more duplicate.
+  t.rx->on_chunk(t.data(3, 4, false), 0);
+  EXPECT_EQ(t.rx->stats().duplicate_chunks, 2u);
+
+  EXPECT_EQ(t.rx->stats().framing_error_chunks, 0u);
+  EXPECT_EQ(t.rx->stats().chunks_placed, placed);
+  EXPECT_EQ(t.rx->stats().tpdus_accepted, 1u);
+  EXPECT_EQ(t.rx->stats().tpdus_rejected, 0u);
+  EXPECT_EQ(t.rx->open_tpdus(), 1u);
+  EXPECT_EQ(t.rx->unfinished_tpdus(), 0u);
+  EXPECT_TRUE(t.app_intact());
+}
+
+TEST(ReceiverEdge, TombstoneCountsMisframedLatePiecesAsFramingErrors) {
+  AcceptedTpdu t;
+  ASSERT_EQ(t.rx->stats().tpdus_accepted, 1u);
+
+  t.rx->on_chunk(t.data(16, 4, false), 0);  // wholly past the stop
+  EXPECT_EQ(t.rx->stats().framing_error_chunks, 1u);
+  t.rx->on_chunk(t.data(12, 8, false), 0);  // straddles the stop
+  EXPECT_EQ(t.rx->stats().framing_error_chunks, 2u);
+  Chunk stray = t.data(0, 8, true);  // a stop bit on element 7, not 15
+  std::fill(stray.payload.begin(), stray.payload.end(), std::uint8_t{0xEE});
+  t.rx->on_chunk(std::move(stray), 0);
+  EXPECT_EQ(t.rx->stats().framing_error_chunks, 3u);
+
+  EXPECT_EQ(t.rx->stats().duplicate_chunks, 0u);
+  EXPECT_EQ(t.rx->stats().tpdus_accepted, 1u);
+  EXPECT_EQ(t.rx->stats().tpdus_rejected, 0u);
+  EXPECT_EQ(t.rx->elements_delivered(), 16u);
+  EXPECT_EQ(t.rx->open_tpdus(), 1u);
+  EXPECT_EQ(t.rx->unfinished_tpdus(), 0u);
+  EXPECT_TRUE(t.app_intact());
+}
+
+TEST(ReceiverEdge, TombstoneReAcksAndReGrantsAResentEdChunk) {
+  AcceptedTpdu t;
+  ASSERT_EQ(t.rx->stats().tpdus_accepted, 1u);
+  ASSERT_EQ(t.acks(), 1u);
+  ASSERT_EQ(t.grants(), 1u);
+
+  t.rx->on_chunk(Chunk{t.ed}, 0);  // our ACK was lost
+  EXPECT_EQ(t.rx->stats().acks_resent, 1u);
+  EXPECT_EQ(t.acks(), 2u);
+  EXPECT_EQ(t.grants(), 2u);
+  EXPECT_EQ(t.rx->stats().tpdus_accepted, 1u);
+  EXPECT_EQ(t.rx->open_tpdus(), 1u);
+
+  // Aborting the TPDU drops its tombstone.
+  t.rx->abort_tpdu(5);
+  EXPECT_EQ(t.rx->open_tpdus(), 0u);
+  EXPECT_TRUE(t.app_intact());
+}
+
 TEST(ReceiverEdge, OneChunkTpduWithCorruptConnSnFailsConsistency) {
   // Table 1 puts C.SN corruption in the consistency check's column. A
   // one-data-chunk TPDU has no second data chunk to compare

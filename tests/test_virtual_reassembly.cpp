@@ -122,6 +122,29 @@ TEST(PduTracker, RandomPermutationAlwaysCompletes) {
   }
 }
 
+TEST(PduTracker, VerdictOnceCompleteMatchesACompleteTracker) {
+  // The receiver's tombstones judge late pieces with
+  // verdict_once_complete; it must answer exactly as the complete
+  // tracker would, for every piece position, length and stop bit,
+  // including pieces whose last element would pass 2^32 − 1.
+  for (const std::uint32_t stop : {0u, 1u, 7u, 12u}) {
+    for (const std::uint32_t sn :
+         {0u, 1u, 5u, 7u, 8u, 12u, 13u, 20u, 0xFFFFFFF0u, 0xFFFFFFFFu}) {
+      for (const std::uint32_t len : {0u, 1u, 2u, 5u, 8u, 13u, 16u}) {
+        for (const bool st : {false, true}) {
+          PduTracker t;
+          ASSERT_EQ(t.add(0, stop + 1, true), PieceVerdict::kAccept);
+          ASSERT_TRUE(t.complete());
+          EXPECT_EQ(verdict_once_complete(stop, sn, len, st),
+                    t.add(sn, len, st))
+              << "stop " << stop << " sn " << sn << " len " << len
+              << " st " << st;
+        }
+      }
+    }
+  }
+}
+
 TEST(VirtualReassembler, TracksMultiplePdus) {
   VirtualReassembler vr;
   const PduKey a{1, 10};
